@@ -132,7 +132,11 @@ def test_backend_matrix(node, database, scavenger):
             thermal_model=TyreThermalModel(time_constant_s=120.0),
             evaluator=evaluator,
         )
-        pending = emulator._pending_energy_bins(cycle, idle_step_s=1.0)
+        table = emulator.materialize_cycle(cycle, thermal_model=emulator.thermal_model)
+        pending: dict = {}
+        emulator.collect_bins(
+            table, emulator.round_keys(table, table.temps), {}, pending, {}
+        )
         assert pending, "the bin-union kernel needs a non-empty pending map"
 
         # One untimed call per kernel: numba pays its JIT compilation here,

@@ -10,12 +10,14 @@ This benchmark measures that on a 200-vehicle fleet (log-normal speed
 scales, correlated zero-mean ambient offsets snapped to ambient-bin
 centers, Gaussian tolerances) and *asserts*:
 
-* >= 3x throughput of the thermal fast path over the forced per-vehicle
-  fallback (``FleetRunner(force_fallback=True)`` — the same engine with
-  the cohort sharing switched off);
+* >= 3x throughput of the thermal fast path over a per-vehicle
+  ``emulate()`` loop with everything but the cohort sharing shared: a fresh
+  :class:`NodeEmulator` per vehicle on its group's evaluator, its cache
+  seeded (``seed_energy_cache``) with the group's bins from an untimed
+  warm-up;
 * bitwise-identical per-vehicle figures against the naive thermal loop
-  (fresh emulator + fresh thermal model per vehicle) AND against the
-  forced fallback, across worker counts and backends.
+  (fresh emulator + fresh thermal model per vehicle) AND against that
+  per-vehicle loop, across worker counts and backends.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import time
 
 from benchmarks.conftest import emit_result, emit_timing
 from repro.core.emulator import NodeEmulator
+from repro.core.evaluator import EnergyEvaluator
 from repro.fleet import FleetRunner, FleetSpec, ThermalSpec, default_fleet_distributions
 from repro.scavenger.storage import scaled_storage
 from repro.scenario import ScenarioSpec
@@ -61,14 +64,37 @@ def _bench_fleet() -> FleetSpec:
     )
 
 
-def test_thermal_fast_path_beats_per_vehicle_fallback():
-    """The thermal cohort fast path is >= 3x the forced per-vehicle path.
+def _per_vehicle_loop(vehicles, thermal, evaluators, bins) -> list[dict]:
+    """One fresh thermal emulator per vehicle on its group's shared evaluator,
+    seeded with the group's bins: the per-vehicle work without cohort sharing."""
+    summaries = []
+    for vehicle in vehicles:
+        spec = vehicle.scenario
+        evaluator = evaluators[spec.evaluator_group_key()]
+        emulator = NodeEmulator(
+            evaluator.node,
+            evaluator.source_database,
+            spec.build_scavenger(),
+            scaled_storage(spec.build_storage(), vehicle.storage_scale),
+            base_point=spec.operating_point(),
+            thermal_model=thermal.build(spec.temperature_c),
+            evaluator=evaluator,
+        )
+        emulator.seed_energy_cache(bins[spec.evaluator_group_key()])
+        cycle = spec.build_drive_cycle().scaled(vehicle.speed_scale)
+        summaries.append(emulator.emulate(cycle).summary())
+    return summaries
+
+
+def test_thermal_fast_path_beats_per_vehicle_loop():
+    """The thermal cohort fast path is >= 3x the per-vehicle emulate() loop.
 
     Three runs over the identical 200-vehicle population: the naive loop
     (fresh emulator and thermal model per vehicle — what a user would write
-    without the fleet subsystem), the forced fallback (fleet engine, cohort
-    sharing off), and the thermal fast path.  All three must agree bit for
-    bit; only the wall clock may differ.
+    without the fleet subsystem), the per-vehicle loop on shared evaluators
+    and pre-evaluated bins (everything shared but the cohort tables), and
+    the thermal fast path.  All three must agree bit for bit; only the wall
+    clock may differ.
     """
     fleet = _bench_fleet()
     thermal = fleet.thermal
@@ -91,23 +117,40 @@ def test_thermal_fast_path_beats_per_vehicle_fallback():
         naive_summaries.append(emulator.emulate(cycle).summary())
     naive_s = time.perf_counter() - start
 
-    # Forced fallback: the fleet engine with the cohort fast path disabled —
-    # isolates the cohort sharing itself from chunking/aggregation overhead.
+    # Per-vehicle loop: shared evaluators, and every group's bins evaluated
+    # by an untimed warm-up — isolates the cohort sharing itself.
+    evaluators: dict[str, EnergyEvaluator] = {}
+    warm: dict[str, NodeEmulator] = {}
+    for vehicle in vehicles:
+        spec = vehicle.scenario
+        key = spec.evaluator_group_key()
+        if key not in evaluators:
+            node, database, evaluators[key] = spec.build_components()
+            warm[key] = NodeEmulator(
+                node,
+                database,
+                spec.build_scavenger(),
+                spec.build_storage(),
+                base_point=spec.operating_point(),
+                evaluator=evaluators[key],
+            )
+        warm[key].thermal_model = thermal.build(spec.temperature_c)
+        warm[key].emulate(spec.build_drive_cycle().scaled(vehicle.speed_scale))
+    bins = {key: dict(emulator._energy_cache) for key, emulator in warm.items()}
     start = time.perf_counter()
-    forced = FleetRunner(fleet, force_fallback=True).run()
-    forced_s = time.perf_counter() - start
+    per_vehicle_summaries = _per_vehicle_loop(vehicles, thermal, evaluators, bins)
+    per_vehicle_s = time.perf_counter() - start
 
     # Thermal fast path (sequential, so the comparison is CPU-for-CPU).
     start = time.perf_counter()
     result = FleetRunner(fleet).run()
     fleet_s = time.perf_counter() - start
 
-    speedup_vs_forced = forced_s / fleet_s
+    speedup_vs_per_vehicle = per_vehicle_s / fleet_s
     speedup_vs_naive = naive_s / fleet_s
 
     metadata = result.metadata
     assert metadata["fast_path_vehicles"] == VEHICLES
-    assert metadata["fallback_vehicles"] == 0
 
     emit_result(
         "fleet_thermal",
@@ -118,9 +161,9 @@ def test_thermal_fast_path_beats_per_vehicle_fallback():
                 "shared_energy_bins": metadata["shared_energy_bins"],
                 "fast_path_vehicles": metadata["fast_path_vehicles"],
                 "naive_s": naive_s,
-                "forced_fallback_s": forced_s,
+                "per_vehicle_s": per_vehicle_s,
                 "fleet_s": fleet_s,
-                "speedup_vs_forced_x": speedup_vs_forced,
+                "speedup_vs_per_vehicle_x": speedup_vs_per_vehicle,
                 "speedup_vs_naive_x": speedup_vs_naive,
             }
         ],
@@ -132,11 +175,12 @@ def test_thermal_fast_path_beats_per_vehicle_fallback():
         "fleet_thermal",
         wall_times_s={
             "naive_loop": naive_s,
-            "forced_fallback": forced_s,
+            "per_vehicle_loop": per_vehicle_s,
             "fleet_runner": fleet_s,
         },
         speedups={
-            "fast_vs_forced": speedup_vs_forced,
+            # The CI results package pins its floor on this key.
+            "fast_vs_forced": speedup_vs_per_vehicle,
             "fast_vs_naive": speedup_vs_naive,
         },
         extra={
@@ -152,7 +196,7 @@ def test_thermal_fast_path_beats_per_vehicle_fallback():
     )
 
     # Correctness before speed: fast path == naive thermal emulate(), bit
-    # for bit, and == the forced fallback and parallel variants.
+    # for bit, and == the per-vehicle loop and parallel variants.
     assert len(result.vehicle_rows) == len(naive_summaries)
     for row, summary in zip(result.vehicle_rows, naive_summaries):
         for key, value in summary.items():
@@ -160,16 +204,16 @@ def test_thermal_fast_path_beats_per_vehicle_fallback():
                 f"thermal fleet row diverged from naive emulate() on {key!r}: "
                 f"{row[key]!r} != {value!r}"
             )
-    assert forced.vehicle_rows == result.vehicle_rows
+    assert per_vehicle_summaries == naive_summaries
 
     threaded = FleetRunner(fleet, workers=2, backend="thread").run()
     assert threaded.vehicle_rows == result.vehicle_rows
     processed = FleetRunner(fleet, workers=2, backend="process").run()
     assert processed.vehicle_rows == result.vehicle_rows
 
-    assert speedup_vs_forced >= REQUIRED_SPEEDUP, (
-        f"thermal cohort fast path is only {speedup_vs_forced:.1f}x faster than "
-        f"the forced per-vehicle fallback (forced {forced_s:.2f} s vs fast "
+    assert speedup_vs_per_vehicle >= REQUIRED_SPEEDUP, (
+        f"thermal cohort fast path is only {speedup_vs_per_vehicle:.1f}x faster than "
+        f"the per-vehicle emulate() loop (per-vehicle {per_vehicle_s:.2f} s vs fast "
         f"{fleet_s:.2f} s for {VEHICLES} vehicles); the acceptance bar is "
         f"{REQUIRED_SPEEDUP:.0f}x"
     )

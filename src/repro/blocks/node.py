@@ -262,9 +262,9 @@ class SensorNode:
 
         This is the pattern-addressed form of :meth:`schedule_for`: instead of
         deriving the conditional phases from a revolution index, the caller
-        states them directly.  Batch sweeps (Monte-Carlo workload sampling,
-        the emulator's cache prefill) use it to build one schedule per unique
-        (speed, pattern) bin without inventing representative indices.
+        states them directly.  Batch sweeps (Monte-Carlo workload sampling)
+        use it to build one schedule per unique (speed, pattern) bin without
+        inventing representative indices.
 
         Raises:
             ScheduleError: if the busy phases do not fit into the wheel-round

@@ -643,12 +643,9 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         f"{metadata['wall_time_s']:.2f} s on {metadata['workers']} worker(s) "
         f"({metadata['backend']} backend)"
     )
-    fast = metadata.get("fast_path_vehicles", 0)
-    fallback = metadata.get("fallback_vehicles", 0)
-    path_line = f"fast path: {fast} vehicle(s); fallback: {fallback} vehicle(s)"
-    reasons = metadata.get("fallback_reasons") or {}
-    if reasons:
-        path_line += " (" + ", ".join(f"{k}: {v}" for k, v in sorted(reasons.items())) + ")"
+    path_line = f"fast path: {metadata.get('fast_path_vehicles', 0)} vehicle(s)"
+    if metadata.get("untagged_vehicles"):
+        path_line += f"; untagged (older journal): {metadata['untagged_vehicles']} vehicle(s)"
     print(path_line)
     if metadata["resumed_chunks"]:
         print(

@@ -8,10 +8,35 @@ discharges it with the node load, tracks the in-tyre temperature, and records
 whether the monitoring system could stay active — which is exactly the
 information needed to identify the operating windows and to plot the instant
 power of Fig. 3.
+
+One integration path serves every caller.  :meth:`NodeEmulator.emulate` is
+
+1. **table** — :meth:`~NodeEmulator.materialize_cycle` walks the cycle once
+   into a :class:`CycleTable` (per-unit arrays, the thermal replay, per-round
+   (speed key, phase pattern) codes and the state-log sampling walk);
+2. **resolve** — :meth:`~NodeEmulator.resolve` keys every round on its
+   quantized (speed, temperature, phase pattern) bin and evaluates all the
+   bins the cache lacks in ONE batch call; a bin whose schedule cannot be
+   built keeps its error instead of a value;
+3. **load** — the resolved energies become one per-unit :class:`Demand`
+   vector (``+inf`` where a round is unresolved);
+4. **ledger** — :func:`integrate` takes the whole harvest from one
+   ``energy_sweep_j`` call and runs the storage
+   :func:`~repro.scavenger.storage.trajectory` kernel, then raises the first
+   error the ledger walk reaches: an attempted unresolved round or an
+   out-of-range temperature, on exactly the unit the step-by-step scalar
+   reference raised on (the trajectory before that unit is unaffected by the
+   ``+inf`` placeholders);
+5. **result** — :func:`summarize` plus the sampled state log.
+
+The fleet runner calls the same functions on tables shared by a whole cohort
+of vehicles.
 """
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -26,7 +51,6 @@ from repro.core.quantize import (
     speed_bin,
     speed_bin_center_kmh,
     speed_bin_upper_edge_kmh,
-    temperature_bin,
     temperature_bin_center_c,
     temperature_bins,
 )
@@ -34,40 +58,16 @@ from repro.core.trace import PowerTrace
 from repro.errors import ConfigurationError, EmulationError, ScheduleError
 from repro.power.database import PowerDatabase
 from repro.scavenger.base import EnergyScavenger
-from repro.scavenger.storage import (
-    StorageElement,
-    StorageTrajectory,
-    deposit_step,
-    leak_step,
-    trajectory,
-    withdraw_step,
-)
+from repro.scavenger.storage import StorageElement, StorageTrajectory, trajectory
 from repro.timing.schedule import RevolutionSchedule
 from repro.timing.wheel_round import WheelRound, iter_wheel_rounds
 from repro.vehicle.drive_cycle import DriveCycle
-
-#: Quantization used by the revolution-energy cache: speeds within
-#: ``SPEED_QUANTUM_KMH`` and temperatures within ``TEMPERATURE_QUANTUM_C``
-#: share a cache entry.  The quanta (and the bin arithmetic) are
-#: single-sourced in :mod:`repro.core.quantize` so consumers that share bins
-#: across emulators — the fleet runner's cross-vehicle sweep — can never
-#: drift from the cache keys used here.
-from repro.core.quantize import (
-    SPEED_QUANTUM_KMH as _SPEED_QUANTUM_KMH,  # noqa: F401  (compatibility re-export)
-    TEMPERATURE_QUANTUM_C as _TEMPERATURE_QUANTUM_C,
-)
 
 #: Upper bound on revolution-energy cache entries.  Ordinary cycles produce a
 #: few dozen (binned) entries; only exact-keyed boundary/sub-quantum rounds
 #: with continuously varying speeds can accumulate, and the cap keeps the
 #: run-persistent cache from growing without bound over an emulator's life.
 _MAX_ENERGY_CACHE_ENTRIES = 65536
-
-#: Upper bound on the number of bins the pre-integration batch prefill
-#: collects from one drive cycle.  Cycles with more unique quantized bins
-#: (pathological continuously-varying boundary speeds) fill the remainder
-#: through the ordinary per-miss path inside the integration loop.
-_MAX_PREFILL_KEYS = 8192
 
 
 @dataclass(frozen=True)
@@ -164,6 +164,21 @@ class SampleLog:
             )
             for i in range(self._size)
         ]
+
+    @classmethod
+    def from_columns(
+        cls, time_s, speed_kmh, temperature_c, state_of_charge, node_active
+    ) -> "SampleLog":
+        """Build a log from whole parallel columns (copied)."""
+        size = len(time_s)
+        log = cls(capacity=size)
+        log._time[:size] = time_s
+        log._speed[:size] = speed_kmh
+        log._temperature[:size] = temperature_c
+        log._soc[:size] = state_of_charge
+        log._active[:size] = node_active
+        log._size = size
+        return log
 
     @classmethod
     def from_samples(cls, samples) -> "SampleLog":
@@ -326,6 +341,198 @@ class EmulationResult:
         }
 
 
+@dataclass(frozen=True, eq=False)
+class CycleTable:
+    """One walk of a drive cycle: the arrays every integration over it reads.
+
+    Built by :meth:`NodeEmulator.materialize_cycle` and read-only afterwards,
+    so the fleet runner shares one table between every vehicle of a cohort.
+
+    Attributes:
+        name: the walked cycle's name.
+        duration_s: the walked cycle's duration.
+        is_round: per timing unit, True for a wheel round, False for an idle
+            interval.
+        durations: per unit, the round period or the idle-interval duration.
+        speeds: per unit, the round's speed (0 for idle units).
+        starts: per unit start time.
+        ends: per unit end time.
+        temps: per unit temperature — the thermal model's replay, or the
+            base point's temperature throughout.
+        round_indices: unit positions of the wheel rounds.
+        unit_codes: per unit, the index of its entry in ``codes`` (-1 for
+            idle units).
+        codes: one ``(speed key, evaluation speed, phase pattern, revolution
+            index)`` per distinct round class, from the emulator's speed-key
+            classification; the revolution index is one round with that
+            pattern, for schedule builds.
+        sample_units: per state-log sample, the unit it reads.
+        sample_times: per state-log sample, its time.
+    """
+
+    name: str
+    duration_s: float
+    is_round: np.ndarray
+    durations: np.ndarray
+    speeds: np.ndarray
+    starts: np.ndarray
+    ends: np.ndarray
+    temps: np.ndarray
+    round_indices: np.ndarray
+    unit_codes: np.ndarray
+    codes: tuple
+    sample_units: np.ndarray
+    sample_times: np.ndarray
+
+    def with_thermal(self, thermal_model: TyreThermalModel) -> "CycleTable":
+        """This walk with ``thermal_model`` replayed over it.
+
+        The model advances unit by unit from its current state (pass a fresh
+        or reset one) and is left at the end-of-cycle state; every other
+        array is shared with this table.
+        """
+        temps = [
+            thermal_model.advance(duration, speed / 3.6)
+            for duration, speed in zip(self.durations.tolist(), self.speeds.tolist())
+        ]
+        return dataclasses.replace(self, temps=np.array(temps, dtype=float))
+
+
+@dataclass(frozen=True, eq=False)
+class RoundKeys:
+    """The revolution-energy cache keys of one (cycle table, temperatures).
+
+    Attributes:
+        keys: distinct ``(speed key, temperature bin, *phase pattern)`` keys
+            of the rounds before ``stop``.
+        key_codes: per key, its table code (which fixes the schedule).
+        unit_key: per unit, the index of its key (-1 for idle units and for
+            every unit from ``stop`` on).
+        temps: per unit temperature.
+        stop: the first unit whose temperature is outside the modelled range
+            (the unit count when there is none).
+    """
+
+    keys: list
+    key_codes: list
+    unit_key: np.ndarray
+    temps: np.ndarray
+    stop: int
+
+
+@dataclass(frozen=True, eq=False)
+class Demand:
+    """The load side of one (cycle table, temperatures), ready for the ledger.
+
+    Attributes:
+        load: per unit, the energy the node draws from the storage while
+            active; ``+inf`` for unresolved rounds and from ``stop`` on.
+        stop: the first unit whose temperature is outside the modelled range.
+        unresolved: ascending unit positions of the rounds whose schedule
+            could not be built.
+        errors: the recorded error of each unresolved round.
+    """
+
+    load: np.ndarray
+    stop: int
+    unresolved: np.ndarray
+    errors: tuple
+
+    def raise_first_error(self, attempted: np.ndarray, temps) -> None:
+        """Raise the first error a step-by-step ledger walk would have hit.
+
+        That is the first *attempted* unresolved round (a round the node
+        slept through needs no energy), unless an out-of-range temperature
+        comes earlier — every unresolved round lies before ``stop``, so the
+        temperature error is raised only when no attempted round precedes
+        it.  Up to that unit the trajectory never read a placeholder load.
+        """
+        if self.unresolved.size:
+            hits = np.flatnonzero(attempted[self.unresolved])
+            if hits.size:
+                raise copy.copy(self.errors[hits[0]])
+        if self.stop < len(self.load):
+            temperature_c = float(np.broadcast_to(temps, self.load.shape)[self.stop])
+            raise ConfigurationError(
+                f"temperature {temperature_c} degC is outside the modelled range"
+            )
+
+
+def integrate(
+    table: CycleTable,
+    demand: Demand,
+    temps,
+    scavenger: EnergyScavenger,
+    storage: StorageElement,
+    backend=None,
+) -> tuple[np.ndarray, StorageTrajectory]:
+    """Harvest and ledger of one run: ``(per-unit harvest, trajectory)``.
+
+    Every wheel round's harvest comes from ONE ``energy_sweep_j`` call; the
+    storage ledger is the pure :func:`~repro.scavenger.storage.trajectory`
+    kernel, which leaves ``storage`` untouched.  Raises the first error the
+    run reaches (:meth:`Demand.raise_first_error`).
+    """
+    rounds = table.round_indices
+    harvest = np.zeros(len(table.is_round))
+    harvest[rounds] = scavenger.energy_sweep_j(table.speeds[rounds])
+    if np.any(harvest < 0.0):
+        raise EmulationError("cannot deposit negative energy")
+    # The storage's initial charge is validated at construction, so it is
+    # replayed without the per-call range check.
+    traj = trajectory(
+        storage,
+        harvest,
+        demand.load,
+        table.durations,
+        initially_active=not storage.is_depleted,
+        backend=backend,
+    )
+    demand.raise_first_error(traj.attempted, temps)
+    return harvest, traj
+
+
+def summarize(
+    node_name: str, table: CycleTable, harvest: np.ndarray, traj: StorageTrajectory
+) -> EmulationResult:
+    """The totals of one run (no state log, no trace)."""
+    result = EmulationResult(
+        node_name=node_name, cycle_name=table.name, duration_s=table.duration_s
+    )
+    result.revolutions = int(table.is_round.sum())
+    result.moving_time_s = float(table.durations[table.is_round].sum())
+    result.harvested_j = float(traj.banked_j.sum())
+    result.discarded_j = float(np.maximum(0.0, harvest - traj.banked_j).sum())
+    result.consumed_j = float(traj.drawn_j.sum())
+    result.active_revolutions = int((table.is_round & traj.withdrew).sum())
+    result.active_time_s = float(table.durations[traj.withdrew].sum())
+    result.brownout_events = traj.brownout_events
+    return result
+
+
+def _record_trace_revolution(
+    trace: PowerTrace,
+    start_s: float,
+    end_s: float,
+    period_s: float,
+    phases: tuple[tuple[str, float, float], ...],
+    active: bool,
+    sleep_power_w: float,
+) -> None:
+    if not active:
+        trace.append(start_s, period_s, 0.0, "inactive")
+        return
+    cursor = start_s
+    for label, duration, power in phases:
+        duration = min(duration, end_s - cursor)
+        if duration <= 0.0:
+            break
+        trace.append(cursor, duration, power, label)
+        cursor += duration
+    if cursor < end_s - 1e-12:
+        trace.append(cursor, end_s - cursor, sleep_power_w, "sleep")
+
+
 class NodeEmulator:
     """Plays a drive cycle against a node, a scavenger and a storage element.
 
@@ -370,11 +577,14 @@ class NodeEmulator:
         self.storage = storage
         self.base_point = base_point or OperatingPoint()
         self.thermal_model = thermal_model
-        # Both caches are keyed on quantized conditions and stay valid for the
-        # lifetime of the emulator: the evaluator and the database are fixed
-        # per instance, so the caches persist across emulate() runs.
+        # The caches and classification memos are keyed on quantized
+        # conditions and stay valid for the lifetime of the emulator: the
+        # evaluator and the database are fixed per instance, so they persist
+        # across emulate() runs.
         self._energy_cache: dict[tuple, tuple[float, tuple[tuple[str, float, float], ...]]] = {}
         self._standstill_cache: dict[int, float] = {}
+        #: Bin-center schedules per (speed bin, phase pattern), built once.
+        self._schedules: dict[tuple, RevolutionSchedule] = {}
         #: (speed bin, phase pattern) keys whose bin-*center* schedule proved
         #: infeasible (feasibility is a step function of speed, so the center
         #: can fail while the upper edge passes); keyed per pattern so one
@@ -391,12 +601,8 @@ class NodeEmulator:
         #: (speed bin, phase pattern) keys whose upper edge is infeasible:
         #: these straddle the node's feasibility limit, so their rounds are
         #: evaluated and keyed on the exact speed — an unsustainable actual
-        #: speed then raises naturally on its own schedule build.
+        #: speed then fails on its own schedule build.
         self._exact_speed_keys: set[tuple] = set()
-        #: (id(cycle), idle step) pairs whose prefill pre-scan completed
-        #: against the current caches; re-scanning them would walk the whole
-        #: cycle to find nothing pending (see ``_prefill_energy_cache``).
-        self._prefilled_cycles: set[tuple] = set()
         self._cache_node = self.node
         self._cache_evaluator = self.evaluator
         self._cache_database = self.evaluator.database
@@ -421,10 +627,10 @@ class NodeEmulator:
         ):
             self._energy_cache.clear()
             self._standstill_cache.clear()
+            self._schedules.clear()
             self._infeasible_center_keys.clear()
             self._trusted_speed_keys.clear()
             self._exact_speed_keys.clear()
-            self._prefilled_cycles.clear()
             self._cache_node = self.node
             self._cache_evaluator = self.evaluator
             self._cache_database = self.evaluator.database
@@ -436,39 +642,26 @@ class NodeEmulator:
     def _operating_point(self, speed_kmh: float, temperature_c: float) -> OperatingPoint:
         return self.base_point.at_speed(speed_kmh).at_temperature(temperature_c)
 
-    def _temperature_bin(self, temperature_c: float) -> int:
-        """Quantized temperature bin, validating the *actual* temperature.
-
-        The range check happens before binning so an out-of-range temperature
-        fails on the value the thermal model actually produced (the old
-        per-round OperatingPoint construction gave the same guarantee);
-        in-range temperatures always map to in-range bin centers because the
-        range bounds are whole multiples of the quantum.
-        """
-        low, high = TEMPERATURE_RANGE_C
-        if not low <= temperature_c <= high:
-            raise ConfigurationError(
-                f"temperature {temperature_c} degC is outside the modelled range"
-            )
-        return temperature_bin(temperature_c)
-
-    def _standstill_power(self, temperature_c: float) -> float:
-        """Resting-mode node power, memoized on the quantized temperature.
+    def _standstill_power_sweep(self, temps: np.ndarray) -> np.ndarray:
+        """Per-unit resting-mode power, memoized on the quantized temperature.
 
         The resting power depends only on the (fixed) supply/process
-        conditions and the temperature, so recomputing it every wheel round
-        is pure overhead.  Each 1 degC bin is evaluated at its representative
-        (bin-center) temperature, which keeps the cached value a pure
+        conditions and the temperature.  Each 1 degC bin is evaluated at its
+        representative (bin-center) temperature, which keeps the memo a pure
         function of the bin — results cannot depend on which temperature
         inside the bin an earlier run happened to see first.
         """
-        key = self._temperature_bin(temperature_c)
-        cached = self._standstill_cache.get(key)
-        if cached is None:
-            point = self._operating_point(0.0, temperature_bin_center_c(key))
-            cached = self.evaluator.standstill_power_w(point)
-            self._standstill_cache[key] = cached
-        return cached
+        bins, inverse = np.unique(temperature_bins(temps), return_inverse=True)
+        per_bin = np.empty(len(bins))
+        for position, raw_bin in enumerate(bins):
+            key = int(raw_bin)
+            power = self._standstill_cache.get(key)
+            if power is None:
+                point = self._operating_point(0.0, temperature_bin_center_c(key))
+                power = self.evaluator.standstill_power_w(point)
+                self._standstill_cache[key] = power
+            per_bin[position] = power
+        return per_bin[inverse]
 
     def _speed_key_for(
         self, speed_kmh: float, revolution_index: int, pattern: tuple[bool, bool, bool]
@@ -507,6 +700,26 @@ class NodeEmulator:
             return bin_index, speed_bin_center_kmh(bin_index), True
         return ("exact", speed_kmh), speed_kmh, False
 
+    def _schedule(self, code: tuple) -> RevolutionSchedule | ScheduleError:
+        """The schedule of one table code, or the error building it raised.
+
+        Bin-center schedules are memoized per (bin, pattern); exact-speed
+        schedules are built per call (their population is unbounded).
+        """
+        speed_key, speed, pattern, revolution_index = code
+        memo_key = (speed_key, *pattern)
+        schedule = self._schedules.get(memo_key)
+        if schedule is None:
+            try:
+                schedule = self.node.schedule_for(speed, revolution_index)
+            except ScheduleError as error:
+                # Kept (and maybe shared by a fleet cohort) until raised:
+                # drop the frames it would otherwise keep alive.
+                return error.with_traceback(None)
+            if not isinstance(speed_key, tuple):
+                self._schedules[memo_key] = schedule
+        return schedule
+
     def _store_energy(
         self, key: tuple, value: tuple[float, tuple[tuple[str, float, float], ...]]
     ) -> None:
@@ -516,161 +729,216 @@ class NodeEmulator:
             # are the only unbounded population; dropping the whole cache is
             # cheap to rebuild and keeps memory flat over the emulator's life.
             self._energy_cache.clear()
-            self._prefilled_cycles.clear()
         self._energy_cache[key] = value
 
-    def _revolution_energy(
-        self, unit: WheelRound, temperature_c: float
-    ) -> tuple[float, tuple[tuple[str, float, float], ...]]:
-        """Energy of one revolution plus its per-phase (label, duration, power) list.
+    # -- table -> resolve -> load ----------------------------------------------------
 
-        Cached on quantized speed/temperature and on the conditional-phase
-        pattern of the revolution index, because those five values fully
-        determine the schedule energy.
+    def materialize_cycle(
+        self,
+        cycle: DriveCycle,
+        idle_step_s: float = 1.0,
+        thermal_model: TyreThermalModel | None = None,
+        record_interval_s: float = 1.0,
+    ) -> CycleTable:
+        """Walk ``cycle`` once into a :class:`CycleTable`.
+
+        The walk classifies every round's speed key with the emulator's
+        upper-edge rule and records the state-log sampling walk for
+        ``record_interval_s``; ``thermal_model`` is then replayed over it
+        (:meth:`CycleTable.with_thermal`).  With ``thermal_model=None`` the
+        table is isothermal at the base point's temperature, whatever model
+        the emulator owns.
+
+        A bin whose center schedule is infeasible although its upper edge
+        passed has no bin-center value: it is memoized as such and its rounds
+        are keyed on their exact speeds.
         """
-        pattern = self.node.phase_pattern(unit.index)
-        temp_bin = self._temperature_bin(temperature_c)
-        speed_key, speed, use_bin = self._speed_key_for(
-            unit.speed_kmh, unit.index, pattern
+        if record_interval_s <= 0.0:
+            raise EmulationError("record interval must be positive")
+        self._ensure_caches_fresh()
+        node = self.node
+        is_round, durations, speeds, starts, ends, unit_codes = [], [], [], [], [], []
+        codes: list[tuple] = []
+        code_index: dict[tuple, int] = {}
+        for unit in iter_wheel_rounds(cycle, node.wheel, idle_step_s=idle_step_s):
+            if isinstance(unit, WheelRound):
+                speed, duration = unit.speed_kmh, unit.period_s
+                pattern = node.phase_pattern(unit.index)
+                speed_key, eval_speed, _use_bin = self._speed_key_for(
+                    speed, unit.index, pattern
+                )
+                code = code_index.get((speed_key, pattern))
+                if code is None:
+                    code = code_index[(speed_key, pattern)] = len(codes)
+                    codes.append((speed_key, eval_speed, pattern, unit.index))
+            else:
+                speed, duration, code = 0.0, unit.duration_s, -1
+            is_round.append(code >= 0)
+            durations.append(duration)
+            speeds.append(speed)
+            starts.append(unit.start_s)
+            ends.append(unit.end_s)
+            unit_codes.append(code)
+
+        unit_codes = np.array(unit_codes, dtype=np.intp)
+        for code, entry in enumerate(list(codes)):
+            speed_key, _speed, pattern, revolution_index = entry
+            if isinstance(speed_key, tuple) or not isinstance(
+                self._schedule(entry), ScheduleError
+            ):
+                continue
+            self._infeasible_center_keys.add((speed_key, *pattern))
+            for i in np.flatnonzero(unit_codes == code):
+                exact = (("exact", speeds[i]), pattern)
+                new = code_index.get(exact)
+                if new is None:
+                    new = code_index[exact] = len(codes)
+                    codes.append((exact[0], speeds[i], pattern, revolution_index))
+                unit_codes[i] = new
+
+        # State-log sampling walk: which unit every logged sample reads.
+        sample_times: list[float] = []
+        sample_units: list[int] = []
+        next_record_s = 0.0
+        for i, end_time in enumerate(ends):
+            while next_record_s <= end_time:
+                sample_times.append(next_record_s)
+                sample_units.append(i)
+                next_record_s += record_interval_s
+
+        is_round = np.array(is_round, dtype=bool)
+        table = CycleTable(
+            name=cycle.name,
+            duration_s=cycle.duration_s,
+            is_round=is_round,
+            durations=np.array(durations, dtype=float),
+            speeds=np.array(speeds, dtype=float),
+            starts=np.array(starts, dtype=float),
+            ends=np.array(ends, dtype=float),
+            temps=np.full(len(is_round), float(self.base_point.temperature_c)),
+            round_indices=np.flatnonzero(is_round),
+            unit_codes=unit_codes,
+            codes=tuple(codes),
+            sample_units=np.array(sample_units, dtype=np.intp),
+            sample_times=np.array(sample_times, dtype=float),
         )
-        key = (speed_key, temp_bin, *pattern)
-        cached = self._energy_cache.get(key)
-        if cached is not None:
-            return cached
+        return table if thermal_model is None else table.with_thermal(thermal_model)
 
-        # Cache miss: evaluate at the bin-representative speed/temperature so
-        # the cached value is a pure function of the key — results cannot
-        # depend on which conditions inside the bin an earlier run saw first,
-        # even though the cache persists across emulate() runs.
-        if use_bin:
-            try:
-                schedule = self.node.schedule_for(speed, unit.index)
-            except ScheduleError:
-                # The bin center rounded just past the node's feasibility
-                # limit for this phase pattern (the upper edge was validated
-                # above): memoize the (bin, pattern) so later rounds skip
-                # the doomed attempt, and key this round on its exact speed.
-                schedule = self.node.schedule_for(unit.speed_kmh, unit.index)
-                self._infeasible_center_keys.add((speed_key, *pattern))
-                speed = unit.speed_kmh
-                key = (("exact", speed), temp_bin, *pattern)
-                cached = self._energy_cache.get(key)
-                if cached is not None:
-                    return cached
-        else:
-            schedule = self.node.schedule_for(speed, unit.index)
-        point = self._operating_point(speed, temperature_bin_center_c(temp_bin))
-        # The evaluation runs through the compiled power table (one vectorized
-        # pass over all (block, mode) rows) instead of the scalar
-        # per-phase-per-block dataclass path.
-        value = self.evaluator.schedule_energy_compiled(schedule, point)
-        self._store_energy(key, value)
-        return value
+    def round_keys(self, table: CycleTable, temps) -> RoundKeys:
+        """Key every round of ``table`` at the per-unit temperatures ``temps``.
 
-    def _pending_energy_bins(
-        self, cycle: DriveCycle, idle_step_s: float
-    ) -> dict[tuple, tuple[float, float, RevolutionSchedule]]:
-        """Pre-scan the cycle for uncached quantized bins and their schedules.
-
-        Walks the drive cycle once (advancing — and afterwards resetting —
-        the thermal model exactly like the integration loop will) and
-        collects the unique quantized (speed, temperature, phase-pattern)
-        bins that are not cached yet, as ``key -> (evaluation speed,
-        evaluation temperature degC, schedule)``.  One schedule object is
-        shared per unique (speed, pattern): keys differing only in
-        temperature bin then group into one vectorized accumulation in the
-        batch kernel instead of N width-1 ones.
-
-        Bins whose schedule cannot be built (an unsustainable speed, an
-        out-of-range temperature) are deliberately skipped so the
-        integration loop raises at exactly the same simulated instant it
-        always did.
+        ``temps`` is an array over the table's units or one constant
+        temperature.  Keys stop at the first out-of-range temperature: the
+        run raises there at the latest.
         """
-        pending: dict[tuple, tuple[float, float, RevolutionSchedule]] = {}
-        built: dict[tuple, RevolutionSchedule] = {}
-        temperature_c = (
-            self.thermal_model.current_celsius
-            if self.thermal_model is not None
-            else self.base_point.temperature_c
-        )
-        for unit in iter_wheel_rounds(cycle, self.node.wheel, idle_step_s=idle_step_s):
-            duration = (
-                unit.period_s if isinstance(unit, WheelRound) else unit.duration_s
+        count = len(table.is_round)
+        temps = np.broadcast_to(np.asarray(temps, dtype=float), (count,))
+        low, high = TEMPERATURE_RANGE_C
+        outside = np.flatnonzero(~((temps >= low) & (temps <= high)))
+        stop = int(outside[0]) if outside.size else count
+        units = np.flatnonzero(table.unit_codes[:stop] >= 0)
+        unit_key = np.full(count, -1, dtype=np.intp)
+        keys: list[tuple] = []
+        key_codes: list[int] = []
+        if units.size:
+            codes = table.unit_codes[units]
+            bins = temperature_bins(temps[units]).astype(np.intp)
+            low_bin = int(bins.min())
+            width = int(bins.max()) - low_bin + 1
+            distinct, unit_key[units] = np.unique(
+                codes * width + (bins - low_bin), return_inverse=True
             )
-            speed = unit.speed_kmh if isinstance(unit, WheelRound) else 0.0
-            if self.thermal_model is not None:
-                temperature_c = self.thermal_model.advance(duration, speed / 3.6)
-            if not isinstance(unit, WheelRound):
+            for combined in distinct.tolist():
+                code, offset = divmod(combined, width)
+                speed_key, _speed, pattern, _index = table.codes[code]
+                keys.append((speed_key, low_bin + offset, *pattern))
+                key_codes.append(code)
+        return RoundKeys(keys, key_codes, unit_key, temps, stop)
+
+    def collect_bins(
+        self,
+        table: CycleTable,
+        keys: RoundKeys,
+        known: Mapping,
+        pending: dict,
+        errors: dict,
+    ) -> None:
+        """Add the keys of ``keys`` that ``known`` lacks to ``pending``.
+
+        ``pending`` gets ``key -> (evaluation speed, evaluation temperature
+        degC, schedule)`` — the argument of :meth:`evaluate_energy_bins`;
+        keys whose schedule cannot be built go to ``errors`` with the
+        error instead.  One schedule object serves every temperature bin of
+        a round class, so those keys group into one vectorized accumulation.
+        """
+        built: dict[int, RevolutionSchedule | ScheduleError] = {}
+        for key, code in zip(keys.keys, keys.key_codes):
+            if key in known or key in pending or key in errors:
                 continue
-            if len(pending) >= _MAX_PREFILL_KEYS:
-                break
-            pattern = self.node.phase_pattern(unit.index)
-            try:
-                temp_bin = self._temperature_bin(temperature_c)
-            except ConfigurationError:
-                # Out-of-range temperature: the integration loop must raise
-                # on this round itself, not the prefill.
-                break
-            speed_key, eval_speed, _use_bin = self._speed_key_for(
-                unit.speed_kmh, unit.index, pattern
-            )
-            key = (speed_key, temp_bin, *pattern)
-            if key in self._energy_cache or key in pending:
-                continue
-            schedule_key = (eval_speed, *pattern)
-            schedule = built.get(schedule_key)
+            schedule = built.get(code)
             if schedule is None:
-                try:
-                    schedule = self.node.schedule_for(eval_speed, unit.index)
-                except ScheduleError:
-                    # Bin-center infeasibility (or an unsustainable exact
-                    # speed): leave the round to the integration loop, which
-                    # handles the fallback — and the error timing — exactly
-                    # as before.
-                    continue
-                built[schedule_key] = schedule
-            pending[key] = (
-                eval_speed,
-                temperature_bin_center_c(temp_bin),
-                schedule,
-            )
-        if self.thermal_model is not None:
-            self.thermal_model.reset()
-        return pending
+                schedule = built[code] = self._schedule(table.codes[code])
+            if isinstance(schedule, ScheduleError):
+                errors[key] = schedule
+            else:
+                pending[key] = (
+                    table.codes[code][1],
+                    temperature_bin_center_c(key[1]),
+                    schedule,
+                )
 
-    def _prefill_energy_cache(self, cycle: DriveCycle, idle_step_s: float) -> int:
-        """Fill the revolution-energy cache with ONE batch call before the loop.
+    def demand(
+        self, table: CycleTable, keys: RoundKeys, entries: Mapping, errors: Mapping
+    ) -> Demand:
+        """The per-unit load vector of ``keys`` from resolved ``entries``.
 
-        The bins come from :meth:`_pending_energy_bins`; all of them are
-        evaluated through ``EnergyEvaluator._schedule_energy_batch`` in a
-        single vectorized pass.  Cached values are pure functions of their
-        keys, so prefilled entries are indistinguishable from per-miss
-        entries: the integration loop produces byte-identical results either
-        way, just without thousands of scalar cache-miss evaluations.
-
-        A cycle object whose scan already completed against the current
-        caches is remembered and not re-scanned: on a warm emulator the
-        pre-scan would walk every wheel round only to find nothing pending.
-        (Skipping a prefill can never change results — it is purely an
-        optimization — so the identity-keyed memo is safe even if a caller
-        mutates the cycle in place.)
-
-        Returns the number of prefilled cache entries.
+        Rounds draw their referred revolution energy, idle units their
+        referred resting energy; rounds whose key is in ``errors`` (not in
+        ``entries``) and units from ``keys.stop`` on draw ``+inf``.
         """
-        memo_key = (id(cycle), idle_step_s)
-        if memo_key in self._prefilled_cycles:
-            return 0
-        pending = self._pending_energy_bins(cycle, idle_step_s)
-        if len(pending) < _MAX_PREFILL_KEYS:
-            # The scan covered the whole cycle: a later run with the same
-            # (unchanged) caches has nothing left to discover.
-            self._prefilled_cycles.add(memo_key)
-        if not pending:
-            return 0
+        count = len(keys.unit_key)
+        load = np.full(count, np.inf)
+        pmu = self.node.pmu
+        rounds = np.flatnonzero(keys.unit_key >= 0)
+        if rounds.size:
+            energies = np.array(
+                [entries[key][0] if key in entries else np.inf for key in keys.keys]
+            )
+            load[rounds] = pmu.referred_to_storage(energies[keys.unit_key[rounds]])
+        sleep_power = self._standstill_power_sweep(keys.temps[: keys.stop])
+        idle = np.flatnonzero(~table.is_round[: keys.stop])
+        load[idle] = pmu.referred_to_storage(sleep_power[idle] * table.durations[idle])
+        load.setflags(write=False)
+        failed = [position for position, key in enumerate(keys.keys) if key not in entries]
+        unresolved = np.flatnonzero(np.isin(keys.unit_key, failed))
+        return Demand(
+            load=load,
+            stop=keys.stop,
+            unresolved=unresolved,
+            errors=tuple(errors[keys.keys[keys.unit_key[i]]] for i in unresolved),
+        )
 
-        for key, value in self.evaluate_energy_bins(pending).items():
+    def resolve(
+        self, table: CycleTable, temps
+    ) -> tuple[RoundKeys, dict, Demand]:
+        """Resolve every round of ``table``: cache hits plus ONE batch call.
+
+        Returns ``(keys, entries, demand)``: the round keys, the ``(energy,
+        per-phase list)`` entry of every resolvable key, and the load side.
+        New entries land in the run-persistent cache (size-capped); the
+        returned ``entries`` hold them whatever the cap evicts.
+        """
+        keys = self.round_keys(table, temps)
+        cache = self._energy_cache
+        entries = {key: cache[key] for key in keys.keys if key in cache}
+        pending: dict = {}
+        errors: dict = {}
+        self.collect_bins(table, keys, entries, pending, errors)
+        fresh = self.evaluate_energy_bins(pending)
+        for key, value in fresh.items():
             self._store_energy(key, value)
-        return len(pending)
+        entries.update(fresh)
+        return keys, entries, self.demand(table, keys, entries, errors)
 
     def evaluate_energy_bins(
         self, pending: Mapping[tuple, tuple[float, float, RevolutionSchedule]]
@@ -678,14 +946,13 @@ class NodeEmulator:
         """Evaluate quantized bins in ONE vectorized batch call.
 
         ``pending`` maps cache keys to ``(evaluation speed, evaluation
-        temperature degC, schedule)`` exactly as produced by
-        :meth:`_pending_energy_bins`; the return value maps each key to the
-        ``(energy, per-phase list)`` entry the per-miss path would have
-        cached.  The batch kernel accumulates in the scalar operation order,
-        so the values are bitwise identical to per-miss evaluations — which
-        is what lets the fleet runner evaluate the *union* of bins across a
-        whole vehicle population once and hand the entries to every
-        vehicle's emulator (:meth:`seed_energy_cache`).
+        temperature degC, schedule)`` exactly as :meth:`collect_bins` builds
+        it; the return value maps each key to its ``(energy, per-phase
+        list)`` entry.  The batch kernel accumulates in the scalar operation
+        order, so the values are bitwise identical to width-1
+        ``schedule_energy_compiled`` evaluations — which is what lets the
+        fleet runner evaluate the *union* of bins across a whole vehicle
+        population once.
         """
         if not pending:
             return {}
@@ -712,259 +979,14 @@ class NodeEmulator:
 
         Entries must come from an emulator with the same node, database
         coefficients and supply/process conditions (cached values are pure
-        functions of their quantized keys under those inputs); the fleet
-        runner uses this to share one cross-vehicle bin sweep between all
-        vehicles of a group.  Returns the number of entries accepted.  The
-        cache-size cap is honoured entry by entry, exactly like per-miss
-        inserts.
+        functions of their quantized keys under those inputs).  Returns the
+        number of entries accepted.  The cache-size cap is honoured entry by
+        entry.
         """
         self._ensure_caches_fresh()
         for key, value in entries.items():
             self._store_energy(key, value)
         return len(entries)
-
-    def _record_trace_revolution(
-        self,
-        trace: PowerTrace,
-        unit: WheelRound,
-        phases: tuple[tuple[str, float, float], ...],
-        active: bool,
-        sleep_power_w: float,
-    ) -> None:
-        if not active:
-            trace.append(unit.start_s, unit.period_s, 0.0, "inactive")
-            return
-        cursor = unit.start_s
-        for label, duration, power in phases:
-            duration = min(duration, unit.end_s - cursor)
-            if duration <= 0.0:
-                break
-            trace.append(cursor, duration, power, label)
-            cursor += duration
-        if cursor < unit.end_s - 1e-12:
-            trace.append(cursor, unit.end_s - cursor, sleep_power_w, "sleep")
-
-    # -- array-based integration core ------------------------------------------------
-
-    #: Sentinel for :meth:`_collect_cycle`: "walk with the emulator's own
-    #: thermal model" (``None`` must stay expressible — it means constant
-    #: temperature regardless of ``self.thermal_model``).
-    _OWN_THERMAL = object()
-
-    def _collect_cycle(
-        self, cycle: DriveCycle, idle_step_s: float, thermal_model=_OWN_THERMAL
-    ) -> tuple[list, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Materialize the cycle as per-unit arrays (one walk, thermal replay).
-
-        Returns ``(units, is_round, durations, speeds, ends, temps)``.  The
-        thermal model is advanced through the whole cycle here — exactly the
-        trajectory the old per-revolution loop produced — and left at its
-        end-of-cycle state.  ``thermal_model`` overrides the emulator's own
-        model for this walk (the fleet runner replays one freshly-built model
-        per thermal cohort through a shared probe emulator); the default
-        keeps ``self.thermal_model``.
-        """
-        units = list(iter_wheel_rounds(cycle, self.node.wheel, idle_step_s=idle_step_s))
-        count = len(units)
-        is_round = np.empty(count, dtype=bool)
-        durations = np.empty(count)
-        speeds = np.zeros(count)
-        ends = np.empty(count)
-        temps = np.empty(count)
-        thermal = (
-            self.thermal_model if thermal_model is self._OWN_THERMAL else thermal_model
-        )
-        temperature_c = (
-            thermal.current_celsius if thermal is not None else self.base_point.temperature_c
-        )
-        for i, unit in enumerate(units):
-            if isinstance(unit, WheelRound):
-                is_round[i] = True
-                durations[i] = unit.period_s
-                speeds[i] = unit.speed_kmh
-            else:
-                is_round[i] = False
-                durations[i] = unit.duration_s
-            ends[i] = unit.end_s
-            if thermal is not None:
-                temperature_c = thermal.advance(float(durations[i]), speeds[i] / 3.6)
-            temps[i] = temperature_c
-        return units, is_round, durations, speeds, ends, temps
-
-    def materialize_cycle(
-        self,
-        cycle: DriveCycle,
-        idle_step_s: float = 1.0,
-        thermal_model: TyreThermalModel | None = None,
-    ) -> tuple[list, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """One cycle walk as per-unit arrays — the reusable cohort pass.
-
-        Returns ``(units, is_round, durations, speeds, ends, temps)``,
-        exactly the arrays :meth:`emulate` integrates: the same wheel-round
-        walk, and — when ``thermal_model`` is given — the same thermal
-        trajectory a per-vehicle ``emulate()`` with that model would
-        produce, advance call for advance call.  The fleet runner replays
-        this once per (cycle, speed-scale, ambient-bin) cohort through a
-        shared probe emulator instead of once per vehicle; ``thermal_model``
-        should be freshly built (or reset) — the walk starts from its
-        current state and leaves it at the end-of-cycle state.
-
-        With ``thermal_model=None`` the walk is isothermal at the base
-        point's temperature even if the emulator owns a thermal model (an
-        explicit request for the constant-temperature arrays).
-        """
-        return self._collect_cycle(cycle, idle_step_s, thermal_model=thermal_model)
-
-    def _resolve_round_energies(
-        self,
-        units: list,
-        is_round: np.ndarray,
-        temps: np.ndarray,
-    ) -> tuple[np.ndarray, list, np.ndarray]:
-        """Gather each wheel round's cached revolution energy, where available.
-
-        Returns ``(energies, phase_lists, resolved)``: per-unit energy (NaN
-        where unknown), the per-phase tuples of resolved rounds, and the
-        resolution mask.  After a prefill every feasible bin is already
-        cached, so this is normally a pure dict-gather; rounds whose bin is
-        uncached (boundary speeds past the prefill cap, infeasible centers)
-        stay unresolved and are evaluated inside the integration loop only
-        when the node is actually active — preserving the scalar path's
-        error timing exactly.
-        """
-        count = len(units)
-        energies = np.full(count, np.nan)
-        phase_lists: list = [None] * count
-        resolved = np.zeros(count, dtype=bool)
-        low, high = TEMPERATURE_RANGE_C
-        cache = self._energy_cache
-        for i in np.flatnonzero(is_round):
-            temperature_c = float(temps[i])
-            if not low <= temperature_c <= high:
-                # The loop must raise on this round itself (via the
-                # standstill evaluation), not the pre-pass.
-                continue
-            unit = units[i]
-            pattern = self.node.phase_pattern(unit.index)
-            speed_key, _speed, _use_bin = self._speed_key_for(
-                unit.speed_kmh, unit.index, pattern
-            )
-            key = (speed_key, temperature_bin(temperature_c), *pattern)
-            cached = cache.get(key)
-            if cached is not None:
-                energies[i] = cached[0]
-                phase_lists[i] = cached[1]
-                resolved[i] = True
-        return energies, phase_lists, resolved
-
-    def _standstill_power_sweep(self, temps: np.ndarray) -> np.ndarray:
-        """Per-unit resting-mode power via the quantized standstill memo."""
-        bins, inverse = np.unique(temperature_bins(temps), return_inverse=True)
-        per_bin = np.array(
-            [self._standstill_power(temperature_bin_center_c(int(b))) for b in bins]
-        )
-        return per_bin[inverse]
-
-    def _integrate_stepwise(
-        self,
-        units: list,
-        is_round: np.ndarray,
-        durations: np.ndarray,
-        temps: np.ndarray,
-        harvest: np.ndarray,
-        energies: np.ndarray,
-        phase_lists: list,
-        resolved: np.ndarray,
-    ) -> tuple[StorageTrajectory, np.ndarray]:
-        """Reference integration loop for cycles the pure kernel cannot cover.
-
-        Used when some rounds have unresolved revolution energies (evaluated
-        here only while the node is active, so infeasible speeds keep raising
-        at exactly the simulated instant the scalar path raised) or when a
-        temperature leaves the modelled range (the standstill evaluation
-        raises on the offending unit).  The ledger arithmetic goes through
-        the same storage step primitives as :func:`repro.scavenger.storage.trajectory`,
-        so both integration paths produce byte-identical trajectories.
-
-        Returns the trajectory plus the (possibly lazily filled) per-unit
-        sleep-power array.
-        """
-        storage = self.storage
-        count = len(units)
-        charge = storage.initial_charge_j
-        active = not storage.is_depleted
-        capacity = storage.capacity_j
-        restart = storage.restart_level_j
-        charge_eff = storage.charge_efficiency
-        discharge_eff = storage.discharge_efficiency
-        self_discharge_w = storage.self_discharge_w
-        pmu = self.node.pmu
-
-        sleep_power = np.empty(count)
-        charge_out = np.empty(count)
-        active_out = np.empty(count, dtype=bool)
-        banked_out = np.empty(count)
-        drawn_out = np.zeros(count)
-        attempted = np.zeros(count, dtype=bool)
-        withdrew = np.zeros(count, dtype=bool)
-        brownouts = 0
-        for i in range(count):
-            temperature_c = float(temps[i])
-            # May raise for an out-of-range temperature — on the same unit,
-            # in the same loop position, as the scalar path did.
-            sleep_power[i] = self._standstill_power(temperature_c)
-            duration = float(durations[i])
-            if not active and charge >= restart:
-                active = True
-            if is_round[i]:
-                charge, banked_out[i] = deposit_step(
-                    charge, harvest[i] * charge_eff, capacity
-                )
-                if active:
-                    attempted[i] = True
-                    if resolved[i]:
-                        energy = float(energies[i])
-                    else:
-                        energy, phases = self._revolution_energy(
-                            units[i], temperature_c
-                        )
-                        energies[i] = energy
-                        phase_lists[i] = phases
-                        resolved[i] = True
-                    load = pmu.referred_to_storage(energy)
-                    charge, success = withdraw_step(charge, load / discharge_eff)
-                    if success:
-                        withdrew[i] = True
-                        drawn_out[i] = load
-                    else:
-                        active = False
-                        brownouts += 1
-            else:
-                banked_out[i] = 0.0
-                if active:
-                    attempted[i] = True
-                    load = pmu.referred_to_storage(float(sleep_power[i]) * duration)
-                    charge, success = withdraw_step(charge, load / discharge_eff)
-                    if success:
-                        withdrew[i] = True
-                        drawn_out[i] = load
-                    else:
-                        active = False
-                        brownouts += 1
-            charge, _loss = leak_step(charge, self_discharge_w * duration)
-            charge_out[i] = charge
-            active_out[i] = active
-        traj = StorageTrajectory(
-            charge_j=charge_out,
-            active=active_out,
-            banked_j=banked_out,
-            drawn_j=drawn_out,
-            attempted=attempted,
-            withdrew=withdrew,
-            brownout_events=brownouts,
-            final_charge_j=float(charge),
-        )
-        return traj, sleep_power
 
     # -- main entry point ----------------------------------------------------------------
 
@@ -974,21 +996,8 @@ class NodeEmulator:
         record_interval_s: float = 1.0,
         trace_window: tuple[float, float] | None = None,
         idle_step_s: float = 1.0,
-        prefill: bool = True,
     ) -> EmulationResult:
-        """Run the emulation over ``cycle``.
-
-        The integration consumes precomputed per-round arrays end to end: the
-        cycle is materialized once (:meth:`_collect_cycle`), the scavenger
-        output of every wheel round comes from ONE vectorized
-        ``energy_sweep_j`` call, the revolution energies are gathered from
-        the (batch-prefilled) cache, and the state of charge is integrated by
-        the pure :func:`repro.scavenger.storage.trajectory` kernel.  Cycles
-        the kernel cannot cover — uncached bins whose evaluation must stay
-        lazy, out-of-range temperatures — fall back to a stepwise loop built
-        on the same storage step primitives; both paths are byte-identical
-        (asserted by the prefill/cache-cap regression tests, since
-        ``prefill=False`` on a cold emulator exercises the stepwise path).
+        """Run the emulation over ``cycle``: table -> resolve -> ledger -> result.
 
         Args:
             cycle: the cruising-speed profile.
@@ -997,179 +1006,96 @@ class NodeEmulator:
             trace_window: optional ``(start_s, end_s)`` window over which the
                 instant-power trace (Fig. 3) is recorded.
             idle_step_s: time step used while the vehicle is stationary.
-            prefill: pre-scan the cycle and fill the revolution-energy cache
-                with one vectorized batch call before the state-of-charge
-                integration (see :meth:`_prefill_energy_cache`).  The result
-                is byte-identical with or without prefill — the flag exists
-                for benchmarking and regression tests.
 
         Returns:
             An :class:`EmulationResult` with totals, the sampled state log and
             (when requested) the instant-power trace.
+
+        Raises:
+            ScheduleError: the node was active on a round whose schedule
+                cannot be built (an unsustainable speed).
+            ConfigurationError: the temperature left the modelled range.
         """
-        if record_interval_s <= 0.0:
-            raise EmulationError("record interval must be positive")
-        if trace_window is not None:
-            trace_start, trace_end = trace_window
-            if trace_end <= trace_start:
-                raise EmulationError("trace window end must be after its start")
+        if trace_window is not None and trace_window[1] <= trace_window[0]:
+            raise EmulationError("trace window end must be after its start")
 
         self.storage.reset()
         if self.thermal_model is not None:
             self.thermal_model.reset()
-        # The energy and standstill caches are intentionally NOT cleared on
-        # every run: cached values are pure functions of their quantized keys
-        # (both caches evaluate at bin-representative conditions), so entries
-        # stay valid across runs and repeated emulations start warm.  The one
-        # invalidating event — an in-place mutation of the database — is
-        # detected via its version counter.
-        self._ensure_caches_fresh()
-        if prefill:
-            self._prefill_energy_cache(cycle, idle_step_s)
-
-        units, is_round, durations, speeds, ends, temps = self._collect_cycle(
-            cycle, idle_step_s
+        # The caches are intentionally NOT cleared on every run: cached
+        # values are pure functions of their quantized keys (both caches
+        # evaluate at bin-representative conditions), so entries stay valid
+        # across runs and repeated emulations start warm.  The one
+        # invalidating event — a change of an input they bake in — is
+        # detected by _ensure_caches_fresh.
+        table = self.materialize_cycle(
+            cycle, idle_step_s, self.thermal_model, record_interval_s
         )
-        round_indices = np.flatnonzero(is_round)
-
-        # Supply side: every wheel round's harvest in one vectorized sweep.
-        harvest = np.zeros(len(units))
-        harvest[round_indices] = self.scavenger.energy_sweep_j(speeds[round_indices])
-        if np.any(harvest < 0.0):
-            raise EmulationError("cannot deposit negative energy")
-
-        energies, phase_lists, resolved = self._resolve_round_energies(
-            units, is_round, temps
+        keys, entries, demand = self.resolve(table, table.temps)
+        harvest, traj = integrate(
+            table,
+            demand,
+            table.temps,
+            self.scavenger,
+            self.storage,
+            backend=self.evaluator.backend,
         )
-
-        low_t, high_t = TEMPERATURE_RANGE_C
-        temps_in_range = bool(np.all((temps >= low_t) & (temps <= high_t)))
-        all_resolved = bool(np.all(resolved[round_indices]))
-        if temps_in_range and all_resolved:
-            # Pure-kernel path: every per-unit quantity is known up front.
-            sleep_power = self._standstill_power_sweep(temps)
-            load = np.zeros(len(units))
-            load[round_indices] = self.node.pmu.referred_to_storage(
-                energies[round_indices]
-            )
-            idle = ~is_round
-            load[idle] = self.node.pmu.referred_to_storage(
-                sleep_power[idle] * durations[idle]
-            )
-            # initial_charge_j=None replays the element's own (already
-            # validated) initial charge without the per-call range check;
-            # the scan runs on the evaluator's array backend.
-            traj = trajectory(
-                self.storage,
-                harvest,
-                load,
-                durations,
-                initially_active=not self.storage.is_depleted,
-                backend=self.evaluator.backend,
-            )
-        else:
-            traj, sleep_power = self._integrate_stepwise(
-                units,
-                is_round,
-                durations,
-                temps,
-                harvest,
-                energies,
-                phase_lists,
-                resolved,
-            )
         # The mutating element is the scalar reference, not the integrator:
-        # leave it holding the trajectory's final charge, exactly as the old
-        # per-revolution deposit/withdraw/leak calls did.
+        # leave it holding the trajectory's final charge.
         self.storage._charge_j = traj.final_charge_j
 
-        result = EmulationResult(
-            node_name=self.node.name,
-            cycle_name=cycle.name,
-            duration_s=cycle.duration_s,
-            trace=PowerTrace() if trace_window is not None else None,
+        result = summarize(self.node.name, table, harvest, traj)
+        samples = table.sample_units
+        result.log = SampleLog.from_columns(
+            table.sample_times,
+            table.speeds[samples],
+            table.temps[samples],
+            traj.charge_j[samples] / self.storage.capacity_j,
+            traj.active[samples],
         )
-        result.revolutions = int(is_round.sum())
-        result.moving_time_s = float(durations[is_round].sum())
-        result.harvested_j = float(traj.banked_j.sum())
-        result.discarded_j = float(np.maximum(0.0, harvest - traj.banked_j).sum())
-        result.consumed_j = float(traj.drawn_j.sum())
-        result.active_revolutions = int((is_round & traj.withdrew).sum())
-        result.active_time_s = float(durations[traj.withdrew].sum())
-        result.brownout_events = traj.brownout_events
-
-        # State log: same per-unit sampling walk, reading the trajectory.
-        capacity = self.storage.capacity_j
-        next_record_s = 0.0
-        log = result.log
-        charge_out = traj.charge_j
-        active_out = traj.active
-        for i in range(len(units)):
-            end_time = ends[i]
-            while next_record_s <= end_time:
-                log.append(
-                    next_record_s,
-                    speeds[i],
-                    temps[i],
-                    charge_out[i] / capacity,
-                    bool(active_out[i]),
-                )
-                next_record_s += record_interval_s
-
-        if result.trace is not None and trace_window is not None:
-            self._record_trace(
-                result.trace,
-                trace_window,
-                units,
-                is_round,
-                durations,
-                traj,
-                phase_lists,
-                sleep_power,
-            )
-            if not result.trace.is_empty:
-                result.trace = result.trace.windowed(*trace_window)
+        if trace_window is not None:
+            result.trace = self._record_trace(table, keys, entries, traj, trace_window)
         return result
 
     def _record_trace(
         self,
-        trace: PowerTrace,
-        trace_window: tuple[float, float],
-        units: list,
-        is_round: np.ndarray,
-        durations: np.ndarray,
+        table: CycleTable,
+        keys: RoundKeys,
+        entries: Mapping,
         traj: StorageTrajectory,
-        phase_lists: list,
-        sleep_power: np.ndarray,
-    ) -> None:
-        """Reconstruct the instant-power trace from the integration arrays.
+        trace_window: tuple[float, float],
+    ) -> PowerTrace:
+        """The instant-power trace of the units overlapping ``trace_window``.
 
-        Entry for entry what the per-revolution loop recorded: successful
-        rounds play their cached phase list, rounds the node slept through
-        are "inactive", brown-out rounds record nothing, and idle units
-        record the standstill floor (or "inactive" once the node is down).
+        Successful rounds play their phase list, rounds the node slept
+        through are "inactive", brown-out rounds record nothing, and idle
+        units record the standstill floor (or "inactive" once the node is
+        down).
         """
         window_start, window_end = trace_window
-        for i, unit in enumerate(units):
-            if not (unit.start_s < window_end and unit.end_s > window_start):
-                continue
-            if is_round[i]:
+        trace = PowerTrace()
+        units = np.flatnonzero((table.starts < window_end) & (table.ends > window_start))
+        sleep_power = self._standstill_power_sweep(table.temps[units])
+        for i, sleep_w in zip(units.tolist(), sleep_power.tolist()):
+            start, end = float(table.starts[i]), float(table.ends[i])
+            duration = float(table.durations[i])
+            if table.is_round[i]:
                 if traj.withdrew[i]:
-                    self._record_trace_revolution(
-                        trace, unit, phase_lists[i], True, float(sleep_power[i])
+                    phases = entries[keys.keys[keys.unit_key[i]]][1]
+                    _record_trace_revolution(
+                        trace, start, end, duration, phases, True, sleep_w
                     )
                 elif not traj.attempted[i]:
-                    self._record_trace_revolution(
-                        trace, unit, (), False, float(sleep_power[i])
-                    )
+                    _record_trace_revolution(trace, start, end, duration, (), False, sleep_w)
             else:
                 active = bool(traj.active[i])
                 trace.append(
-                    unit.start_s,
-                    float(durations[i]),
-                    float(sleep_power[i]) if active else 0.0,
+                    start,
+                    duration,
+                    sleep_w if active else 0.0,
                     "standstill" if active else "inactive",
                 )
+        return trace.windowed(*trace_window) if not trace.is_empty else trace
 
     def steady_state_trace(
         self,
@@ -1205,14 +1131,7 @@ class NodeEmulator:
         time_s = 0.0
         revolution = start_revolution
         while time_s < window_s:
-            unit = WheelRound(
-                index=revolution, start_s=time_s, period_s=period, speed_kmh=speed_kmh
-            )
-            pattern = (
-                self.node.radio.transmits(revolution),
-                self.node.sensors.refreshes_slow_sensors(revolution),
-                self.node.memory.writes_nvm(revolution),
-            )
+            pattern = self.node.phase_pattern(revolution)
             cached = pattern_cache.get(pattern)
             if cached is None:
                 cached = self.evaluator.schedule_energy_compiled(
@@ -1220,7 +1139,9 @@ class NodeEmulator:
                 )
                 pattern_cache[pattern] = cached
             _, phases = cached
-            self._record_trace_revolution(trace, unit, phases, True, sleep_power)
+            _record_trace_revolution(
+                trace, time_s, time_s + period, period, phases, True, sleep_power
+            )
             time_s += period
             revolution += 1
         return trace.windowed(0.0, window_s)

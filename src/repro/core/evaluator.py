@@ -828,12 +828,12 @@ class EnergyEvaluator:
         """Total energy and per-phase (name, duration, power) of one schedule.
 
         Compiled-table equivalent of :meth:`schedule_report` reduced to what
-        the emulator's cache-miss path needs: the revolution energy plus the
-        phase list used to reconstruct the instant-power trace.  This is the
+        an emulated revolution needs: the revolution energy plus the phase
+        list used to reconstruct the instant-power trace.  This is the
         width-1 case of :meth:`_schedule_energy_batch` — sharing the kernel
-        with the batch prefill and Monte-Carlo sweeps keeps the two paths
-        bit-identical, which the emulator's byte-identical-log contract
-        relies on.
+        with the emulator's batch resolve and Monte-Carlo sweeps keeps the
+        paths bit-identical, which the emulator's byte-identity contract
+        against the scalar reference relies on.
         """
         batch = BatchConditions.from_arrays(
             [point.speed_kmh],
@@ -863,7 +863,7 @@ class EnergyEvaluator:
         per unique (speed, pattern) bin — schedule feasibility raises exactly
         like the scalar path — and every power figure is evaluated in a
         single vectorized pass over the compiled table, which is what makes
-        Monte-Carlo workload sweeps and the emulator's cache prefill O(array
+        Monte-Carlo workload sweeps and the emulator's batch resolve O(array
         ops) instead of O(points x blocks x phases) Python dispatch.
 
         Returns the ``(N,)`` energy array, or ``(energies, phase_lists)``

@@ -4,51 +4,45 @@ Running ``NodeEmulator.emulate()`` once per vehicle is correct but wasteful
 at fleet scale: every vehicle would rebuild the evaluator (and compiled
 power table), re-walk its drive cycle round by round, re-classify the same
 quantized speed bins and re-evaluate the same revolution energies.  The
-runner shares all of that across the population:
+runner runs the emulator's own integration functions
+(:mod:`repro.core.emulator`: table -> resolve -> load -> ledger -> result)
+and shares every step that does not depend on the individual vehicle:
 
 * **Groups** — vehicles with the same (architecture, workload, power
   database) share one :class:`~repro.core.evaluator.EnergyEvaluator` and
   therefore one compiled power table, exactly like study grid points.
 * **Cohorts** — vehicles with the same (group, drive cycle, quantized
-  speed scale) share one materialized cycle: the per-unit arrays, the
-  quantized speed-bin classification, the per-round bin indices and the
-  state-log sampling walk are computed once per cohort, not per vehicle.
-  Thermal fleets (``FleetSpec.thermal``) add the quantized ambient as a
-  third cohort axis: the in-tyre
-  :class:`~repro.conditions.temperature.TyreThermalModel` is replayed once
-  per (cycle, speed-scale, ambient-bin) cohort — ambients are snapped to
+  speed scale) share one :class:`~repro.core.emulator.CycleTable`: the
+  per-unit arrays, the speed-key classification and the state-log sampling
+  walk are computed once per cohort, not per vehicle.  Thermal fleets
+  (``FleetSpec.thermal``) add the quantized ambient as a third cohort axis:
+  the in-tyre :class:`~repro.conditions.temperature.TyreThermalModel` is
+  replayed once per (cycle, speed-scale, ambient-bin) cohort over the
+  ambient-free walk of its (cycle, speed scale) — ambients are snapped to
   the shared :func:`~repro.core.quantize.ambient_bin` centers at
-  materialization — producing a per-unit temperature trajectory next to
-  the speed/duration arrays, so the fast path survives thermally
-  realistic populations instead of demoting every vehicle to ``emulate()``.
+  materialization — so the table carries each member vehicle's own
+  temperature trajectory.
 * **One cross-vehicle sweep** — the union of quantized
   (speed, temperature, phase-pattern) energy bins over all vehicles of a
-  group — per-unit trajectory temperatures included — is evaluated in ONE
-  vectorized batch call
+  group is evaluated in ONE vectorized batch call
   (:meth:`~repro.core.emulator.NodeEmulator.evaluate_energy_bins`) before
-  any emulation starts; the batch kernel is bitwise-identical to the
-  per-miss path, so shared bins cannot change results.  After the sweep
-  the per-cohort demand side is gathered ONCE — a full per-unit load
-  vector for thermal cohorts, a per-(cohort, temperature-bin) energy
-  gather for constant ones — instead of being rebuilt per vehicle.
+  any vehicle runs.  The load vector (:class:`~repro.core.emulator.Demand`)
+  is then built once per (cohort, temperatures): per cohort for thermal
+  fleets, per (cohort, temperature bin) otherwise — a constant-temperature
+  vehicle is a thermal one whose trajectory is constant.
 
-Each vehicle then reduces to pure array work — its own harvest sweep, load
-referral and :func:`~repro.scavenger.storage.trajectory` kernel — streamed
-through the shared :class:`~repro.scenario.engine.ChunkedEngine` into the
-fleet accumulators.  Per-vehicle figures are bit-identical to a naive
-``emulate()`` of the same vehicle scenario (the storage-ledger and batch
-contracts guarantee it; the throughput benchmark asserts it), which is what
-makes the aggregates independent of worker counts and backends.
-
-Cycles the shared path cannot cover — a speed bin whose schedule cannot be
-built (feasibility straddles), or a thermal trajectory that leaves the
-modelled temperature range — fall back to the ordinary per-vehicle
-``emulate()`` with the shared bins seeded into its cache, so error timing
-and results stay exactly those of the scalar path.  Every vehicle outcome
-is tagged with the path it took (and the fallback reason), surfaced as
-``fast_path_vehicles`` / ``fallback_vehicles`` / ``fallback_reasons`` on the
-result metadata — a fast-path regression shows up as a counter, not as a
-silent slowdown.
+Each vehicle then reduces to :func:`~repro.core.emulator.integrate` — its
+own harvest sweep and storage :func:`~repro.scavenger.storage.trajectory`
+kernel — and :func:`~repro.core.emulator.summarize`, streamed through the
+shared :class:`~repro.scenario.engine.ChunkedEngine` into the fleet
+accumulators.  Being the same calls, per-vehicle figures are bit-identical
+to a naive ``emulate()`` of the same vehicle scenario, which is what makes
+the aggregates independent of worker counts and backends.  So are errors: a
+vehicle whose node is active on a round its schedule cannot cover, or whose
+thermal trajectory leaves the modelled range, fails with the message
+``emulate()`` raises for it.  Every outcome is tagged with the path it took
+(``fast_path_vehicles`` on the result metadata; outcomes replayed from an
+older checkpoint journal count as ``untagged_vehicles``).
 """
 
 from __future__ import annotations
@@ -56,26 +50,32 @@ from __future__ import annotations
 import numpy as np
 
 from repro.backend import resolve_backend
-from repro.conditions.operating_point import TEMPERATURE_RANGE_C
-from repro.core.emulator import EmulationResult, NodeEmulator
-from repro.core.evaluator import EnergyEvaluator
+from repro.core.emulator import (
+    CycleTable,
+    Demand,
+    EmulationResult,
+    NodeEmulator,
+    integrate,
+    summarize,
+)
 from repro.core.quantize import (
     AMBIENT_QUANTUM_C,
     SPEED_QUANTUM_KMH,
     TEMPERATURE_QUANTUM_C,
     ambient_bin,
     temperature_bin,
-    temperature_bin_center_c,
-    temperature_bins,
 )
-from repro.errors import ConfigError, EmulationError, ScheduleError
+from repro.errors import ConfigError
 from repro.fleet.aggregate import (
     DEFAULT_SURVIVAL_BUCKETS,
     FleetAccumulator,
     FleetResult,
 )
 from repro.fleet.spec import FleetSpec, FleetVehicle, ThermalSpec
-from repro.scavenger.storage import scaled_storage, trajectory
+
+# ``trajectory`` stays importable from here: perfbench wraps the ledger in
+# every module that holds it, and its tests pin this module as one.
+from repro.scavenger.storage import scaled_storage, trajectory  # noqa: F401
 from repro.scenario.checkpoint import CheckpointStore
 from repro.scenario.engine import ChunkedEngine
 from repro.scenario.spec import ScenarioSpec
@@ -119,214 +119,61 @@ def _cohort_key(vehicle: FleetVehicle, thermal: ThermalSpec | None = None) -> st
     )
 
 
-class _CohortTable:
-    """Shared per-cohort cycle materialization (read-only after build).
-
-    Holds everything about one (cycle, speed scale[, ambient bin]) pairing
-    that does not depend on the individual vehicle: the per-unit arrays of
-    the walked cycle, the per-round quantized bin structure, the replayed
-    temperature trajectory (thermal cohorts), and the state-log sampling
-    walk.  ``fallback`` marks cohorts the fast path cannot cover —
-    ``fallback_reason`` says why (``"schedule"``: a bin straddles the node's
-    feasibility limit; ``"temperature-range"``: the thermal trajectory
-    leaves the modelled range) — their vehicles run the ordinary
-    per-vehicle ``emulate()`` so errors surface at exactly the simulated
-    instant the scalar path raises them.
-
-    After the cross-vehicle sweep the runner attaches the precomputed
-    demand side: ``unit_load`` (thermal cohorts — the full per-unit load
-    vector, identical for every member vehicle) or ``energies_by_temp_bin``
-    (constant cohorts — one gathered energy array per temperature bin seen
-    in the population, replacing the per-vehicle list comprehension).
-    """
-
-    __slots__ = (
-        "group_key",
-        "cycle_name",
-        "duration_s",
-        "is_round",
-        "durations",
-        "speeds",
-        "ends",
-        "round_indices",
-        "unique_bins",
-        "inverse",
-        "sample_times",
-        "sample_units",
-        "fallback",
-        "fallback_reason",
-        "thermal",
-        "temps",
-        "unit_temp_bins",
-        "unit_bin_inverse",
-        "triples",
-        "round_triple",
-        "unit_load",
-        "energies_by_temp_bin",
-        "seen_temp_bins",
-    )
-
-    def __init__(self) -> None:
-        self.fallback = False
-        self.fallback_reason = None
-        self.thermal = False
-        self.unique_bins = []
-        self.temps = None
-        self.unit_temp_bins = None
-        self.unit_bin_inverse = None
-        self.triples = []
-        self.round_triple = None
-        self.unit_load = None
-        self.energies_by_temp_bin = {}
-        self.seen_temp_bins = set()
+def _demand_key(cohort_key: str, spec: ScenarioSpec, thermal: ThermalSpec | None):
+    """The load-vector sharing key: the cohort, plus the temperature bin of a
+    constant-temperature vehicle (a thermal cohort has one trajectory)."""
+    if thermal is not None:
+        return cohort_key
+    return (cohort_key, temperature_bin(spec.temperature_c))
 
 
-def _build_cohort_table(
+def _temperatures(table: CycleTable, spec: ScenarioSpec, thermal: ThermalSpec | None):
+    """One vehicle's per-unit temperatures: the replay, or its constant one."""
+    return table.temps if thermal is not None else spec.temperature_c
+
+
+def _walk(
     probe: NodeEmulator,
-    cycle,
+    spec: ScenarioSpec,
+    speed_scale: float,
     record_interval_s: float,
     idle_step_s: float,
-    thermal_model=None,
-) -> _CohortTable:
-    """Materialize one cohort's cycle through the probe emulator.
-
-    The probe supplies the exact walk (`materialize_cycle`) and speed-bin
-    classification (`_speed_key_for`) the per-vehicle emulator would run, so
-    the table can never drift from what ``emulate()`` does.  ``thermal_model``
-    — a freshly built model at the cohort's bin-center ambient — switches the
-    walk to the thermal replay: the per-unit temperature trajectory is kept
-    on the table and the bin structure spans full
-    (speed, temperature, phase-pattern) triples instead of pinning one
-    temperature bin per vehicle.
-    """
-    table = _CohortTable()
-    table.cycle_name = cycle.name
-    table.duration_s = cycle.duration_s
-    units, is_round, durations, speeds, ends, temps = probe.materialize_cycle(
-        cycle, idle_step_s, thermal_model=thermal_model
+) -> CycleTable:
+    """One (cycle, speed scale) walk through the group's probe emulator."""
+    return probe.materialize_cycle(
+        spec.build_drive_cycle().scaled(speed_scale),
+        idle_step_s,
+        record_interval_s=record_interval_s,
     )
-    table.is_round = is_round
-    table.durations = durations
-    table.speeds = speeds
-    table.ends = ends
-    table.round_indices = np.flatnonzero(is_round)
-    table.thermal = thermal_model is not None
 
-    node = probe.node
-    if table.thermal:
-        low_t, high_t = TEMPERATURE_RANGE_C
-        if not bool(np.all((temps >= low_t) & (temps <= high_t))):
-            # Self-heating pushed the trajectory out of the modelled range:
-            # the per-vehicle emulate() path raises on the exact offending
-            # unit (stepwise-loop timing), which the fast path cannot
-            # reproduce — every member vehicle falls back.
-            table.fallback = True
-            table.fallback_reason = "temperature-range"
-            return table
-        table.temps = temps
-        # Per-unit temperature bins for the standstill sweep — the same
-        # np.unique(temperature_bins(...)) walk emulate()'s pure kernel runs.
-        table.unit_temp_bins, table.unit_bin_inverse = np.unique(
-            temperature_bins(temps), return_inverse=True
-        )
 
-        # Per-round (speed, temperature, pattern) triple structure: one
-        # entry per distinct triple, plus the per-round index into that
-        # list.  Schedules are shared per (speed key, pattern) — triples
-        # differing only in temperature reuse one schedule object, which
-        # groups them into one vectorized accumulation in the sweep.
-        positions: dict[tuple, int] = {}
-        built: dict[tuple, object] = {}
-        triples: list[tuple[tuple, float, float, object]] = []
-        round_triple = np.empty(len(table.round_indices), dtype=np.intp)
-        for position, i in enumerate(table.round_indices):
-            unit = units[i]
-            pattern = node.phase_pattern(unit.index)
-            speed_key, eval_speed, _use_bin = probe._speed_key_for(
-                unit.speed_kmh, unit.index, pattern
-            )
-            temp_bin = temperature_bin(float(temps[i]))
-            key = (speed_key, temp_bin, *pattern)
-            slot = positions.get(key)
-            if slot is None:
-                schedule_key = (speed_key, pattern)
-                schedule = built.get(schedule_key)
-                if schedule is None:
-                    try:
-                        schedule = node.schedule_for_pattern(eval_speed, *pattern)
-                    except ScheduleError:
-                        table.fallback = True
-                        table.fallback_reason = "schedule"
-                        return table
-                    built[schedule_key] = schedule
-                slot = len(triples)
-                positions[key] = slot
-                triples.append(
-                    (key, eval_speed, temperature_bin_center_c(temp_bin), schedule)
-                )
-            round_triple[position] = slot
-        table.triples = triples
-        table.round_triple = round_triple
-    else:
-        # Per-round quantized bin structure: one (speed key, pattern) entry
-        # per distinct bin, plus the per-round index into that list.
-        # Schedules are built once per entry (pattern-addressed), for the
-        # cross-vehicle sweep.
-        positions = {}
-        unique: list[tuple[tuple, tuple, float, object]] = []
-        inverse = np.empty(len(table.round_indices), dtype=np.intp)
-        for position, i in enumerate(table.round_indices):
-            unit = units[i]
-            pattern = node.phase_pattern(unit.index)
-            speed_key, eval_speed, _use_bin = probe._speed_key_for(
-                unit.speed_kmh, unit.index, pattern
-            )
-            ukey = (speed_key, pattern)
-            slot = positions.get(ukey)
-            if slot is None:
-                try:
-                    schedule = node.schedule_for_pattern(eval_speed, *pattern)
-                except ScheduleError:
-                    # The bin straddles the node's feasibility limit (or the
-                    # speed is unsustainable): this cohort's vehicles take
-                    # the per-vehicle emulate() path, which raises — or
-                    # recovers — with the scalar path's exact timing.
-                    table.fallback = True
-                    table.fallback_reason = "schedule"
-                    return table
-                slot = len(unique)
-                positions[ukey] = slot
-                unique.append((speed_key, pattern, eval_speed, schedule))
-            inverse[position] = slot
-        table.unique_bins = unique
-        table.inverse = inverse
+def _cohort_table(walk: CycleTable, spec: ScenarioSpec, thermal: ThermalSpec | None) -> CycleTable:
+    """A cohort's table: the walk, with the thermal model replayed over it.
 
-    # State-log sampling walk: the exact accumulation emulate() performs
-    # when recording the log, shared by every vehicle of the cohort (sample
-    # times — and their unit assignment — depend only on the cycle).
-    sample_times: list[float] = []
-    sample_units: list[int] = []
-    next_record_s = 0.0
-    for i in range(len(units)):
-        end_time = ends[i]
-        while next_record_s <= end_time:
-            sample_times.append(next_record_s)
-            sample_units.append(i)
-            next_record_s += record_interval_s
-    table.sample_times = np.array(sample_times)
-    table.sample_units = np.array(sample_units, dtype=np.intp)
-    return table
+    Thermal cohorts replay a freshly built model at the cohort's bin-center
+    ambient — which IS each member vehicle's (materialization-snapped)
+    ambient, so the replayed trajectory equals each member vehicle's own.
+    """
+    return walk if thermal is None else walk.with_thermal(thermal.build(spec.temperature_c))
+
+
+def _probe(components: tuple, spec: ScenarioSpec) -> NodeEmulator:
+    """A group's probe emulator: the walks, bin keys and sweep run through it."""
+    node, database, evaluator = components
+    return NodeEmulator(
+        node,
+        database,
+        spec.build_scavenger(),
+        spec.build_storage(),
+        base_point=spec.operating_point(),
+        evaluator=evaluator,
+    )
 
 
 def _survival_from_samples(
     times: np.ndarray, active: np.ndarray, duration_s: float, buckets: int
 ) -> tuple:
-    """Per-bucket active fraction of one vehicle's sampled state log.
-
-    Used identically by the cohort fast path (samples reconstructed from the
-    trajectory) and the per-vehicle fallback (samples from the recorded
-    log), so both paths bucket the same values the same way.
-    """
+    """Per-bucket active fraction of one vehicle's sampled state log."""
     if times.size == 0 or duration_s <= 0.0:
         return tuple([float("nan")] * buckets)
     index = np.minimum((times / duration_s * buckets).astype(np.intp), buckets - 1)
@@ -345,7 +192,7 @@ def _vehicle_row(
     result: EmulationResult,
     active_at_end: bool,
 ) -> dict[str, object]:
-    """The per-vehicle result row (identical key order on every path)."""
+    """The per-vehicle result row."""
     summary = result.summary()
     hours = result.duration_s / 3600.0
     row: dict[str, object] = {
@@ -363,205 +210,56 @@ def _vehicle_row(
     return row
 
 
-def _thermal_unit_load(
-    table: _CohortTable, node, bins: dict, standstill: dict
-) -> np.ndarray:
-    """The per-unit load vector of one thermal cohort (vehicle-independent).
-
-    Element for element what ``emulate()``'s pure kernel computes: referred
-    revolution energies gathered from the shared bins at each round's
-    trajectory temperature, and referred sleep energy at each idle unit's
-    temperature bin (the same ``np.unique`` gather as
-    ``_standstill_power_sweep``).  Nothing here depends on the vehicle —
-    scavenger size and storage scale enter elsewhere — so the vector is
-    computed once per cohort and shared read-only.
-    """
-    count = len(table.is_round)
-    load = np.zeros(count)
-    if table.round_indices.size:
-        energies_unique = np.array(
-            [bins[key][0] for key, _speed, _temp, _schedule in table.triples]
-        )
-        load[table.round_indices] = node.pmu.referred_to_storage(
-            energies_unique[table.round_triple]
-        )
-    per_bin = np.array([standstill[int(b)] for b in table.unit_temp_bins])
-    sleep_power = per_bin[table.unit_bin_inverse]
-    idle = ~table.is_round
-    load[idle] = node.pmu.referred_to_storage(sleep_power[idle] * table.durations[idle])
-    load.setflags(write=False)
-    return load
-
-
-def _cohort_vehicle_outcome(
+def _vehicle_outcome(
     vehicle_index: int,
     spec: ScenarioSpec,
     speed_scale: float,
     storage_scale: float,
-    node,
-    table: _CohortTable,
-    bins: dict,
-    standstill: dict,
+    node_name: str,
+    table: CycleTable,
+    demand: Demand,
+    temperatures,
     buckets: int,
     array_backend=None,
 ) -> dict[str, object]:
-    """One vehicle through the shared-cohort fast path (pure array work).
+    """One vehicle over its cohort's shared table and demand.
 
-    Mirrors the pure-kernel branch of ``NodeEmulator.emulate()`` operation
-    for operation — harvest sweep, bin gather, load referral, trajectory
-    kernel, summary — against the cohort's shared cycle table and the
-    group's shared bin store, so the figures are bit-identical to a naive
-    per-vehicle ``emulate()`` (with the fleet's thermal model, for thermal
-    cohorts).
+    The calls ``NodeEmulator.emulate()`` makes — :func:`integrate` and
+    :func:`summarize` — with this vehicle's scavenger and scaled storage, so
+    the row (or the raised error) is that of a per-vehicle ``emulate()``.
     """
-    scavenger = spec.build_scavenger()
     storage = scaled_storage(spec.build_storage(), storage_scale)
-
-    # Supply side: every wheel round's harvest in one vectorized sweep.
-    count = len(table.is_round)
-    harvest = np.zeros(count)
-    round_indices = table.round_indices
-    harvest[round_indices] = scavenger.energy_sweep_j(table.speeds[round_indices])
-    if np.any(harvest < 0.0):
-        raise EmulationError("cannot deposit negative energy")
-
-    # Demand side.  Thermal cohorts: the whole load vector is a function of
-    # the cohort (trajectory temperatures, shared bins, group node), not of
-    # the vehicle — precomputed once after the sweep and reused read-only.
-    if table.thermal:
-        load = table.unit_load
-        if load is None:  # pragma: no cover - post-sweep tables always carry it
-            load = _thermal_unit_load(table, node, bins, standstill)
-    else:
-        # Constant-temperature cohorts: gather the shared bins at this
-        # vehicle's temperature.  The per-bin energy gather is precomputed
-        # per (cohort, temperature bin) after the sweep; the inline
-        # comprehension remains as the defensive path for bins the
-        # discovery pass never saw.
-        temp_bin = temperature_bin(spec.temperature_c)
-        energies_unique = table.energies_by_temp_bin.get(temp_bin)
-        if energies_unique is None:
-            energies_unique = np.array(
-                [
-                    bins[(speed_key, temp_bin, *pattern)][0]
-                    for speed_key, pattern, _eval_speed, _schedule in table.unique_bins
-                ]
-            )
-        load = np.zeros(count)
-        if round_indices.size:
-            load[round_indices] = node.pmu.referred_to_storage(
-                energies_unique[table.inverse]
-            )
-        sleep_power_w = standstill[temp_bin]
-        idle = ~table.is_round
-        load[idle] = node.pmu.referred_to_storage(sleep_power_w * table.durations[idle])
-
-    # initial_charge_j=None replays the element's own (construction-time
-    # validated) initial charge — the per-call range check is skipped in
-    # this per-vehicle hot loop.
-    traj = trajectory(
-        storage,
-        harvest,
-        load,
-        table.durations,
-        initially_active=not storage.is_depleted,
-        backend=array_backend,
+    harvest, traj = integrate(
+        table, demand, temperatures, spec.build_scavenger(), storage, array_backend
     )
-
-    result = EmulationResult(
-        node_name=node.name,
-        cycle_name=table.cycle_name,
-        duration_s=table.duration_s,
-    )
-    result.revolutions = int(table.is_round.sum())
-    result.moving_time_s = float(table.durations[table.is_round].sum())
-    result.harvested_j = float(traj.banked_j.sum())
-    result.discarded_j = float(np.maximum(0.0, harvest - traj.banked_j).sum())
-    result.consumed_j = float(traj.drawn_j.sum())
-    result.active_revolutions = int((table.is_round & traj.withdrew).sum())
-    result.active_time_s = float(table.durations[traj.withdrew].sum())
-    result.brownout_events = traj.brownout_events
-
+    result = summarize(node_name, table, harvest, traj)
     sample_active = traj.active[table.sample_units]
-    survival = _survival_from_samples(table.sample_times, sample_active, table.duration_s, buckets)
+    survival = _survival_from_samples(
+        table.sample_times, sample_active, table.duration_s, buckets
+    )
     active_at_end = bool(sample_active[-1]) if sample_active.size else False
     return {
         "row": _vehicle_row(
             vehicle_index, spec, speed_scale, storage_scale, result, active_at_end
         ),
         "survival": survival,
-    }
-
-
-def _emulate_vehicle_outcome(
-    vehicle_index: int,
-    spec: ScenarioSpec,
-    speed_scale: float,
-    storage_scale: float,
-    node,
-    database,
-    evaluator: EnergyEvaluator,
-    bins: dict,
-    buckets: int,
-    record_interval_s: float,
-    idle_step_s: float,
-    thermal: ThermalSpec | None = None,
-) -> dict[str, object]:
-    """One vehicle through the ordinary per-vehicle ``emulate()`` path.
-
-    The fallback for cohorts the fast path cannot cover (and for worker
-    processes without the fork-inherited shared tables); shared bins — when
-    available — still seed the emulator's cache, and the outcome is
-    bit-identical to the fast path by the emulator's byte-identity contract.
-    Thermal fleets hand their :class:`~repro.fleet.spec.ThermalSpec` down so
-    the fallback drives the same in-tyre model — built at the vehicle's
-    (bin-centered) ambient — that the cohort replay used.
-    """
-    cycle = spec.build_drive_cycle()
-    if cycle is None:  # pragma: no cover - FleetSpec validation prevents it
-        raise ConfigError("fleet vehicles need a drive cycle")
-    cycle = cycle.scaled(speed_scale)
-    storage = scaled_storage(spec.build_storage(), storage_scale)
-    emulator = NodeEmulator(
-        node,
-        database,
-        spec.build_scavenger(),
-        storage,
-        base_point=spec.operating_point(),
-        thermal_model=thermal.build(spec.temperature_c) if thermal is not None else None,
-        evaluator=evaluator,
-    )
-    if bins:
-        emulator.seed_energy_cache(bins)
-    result = emulator.emulate(cycle, record_interval_s=record_interval_s, idle_step_s=idle_step_s)
-    arrays = result.sample_arrays()
-    survival = _survival_from_samples(
-        arrays["time_s"], arrays["node_active"], result.duration_s, buckets
-    )
-    active = arrays["node_active"]
-    active_at_end = bool(active[-1]) if active.size else False
-    return {
-        "row": _vehicle_row(
-            vehicle_index, spec, speed_scale, storage_scale, result, active_at_end
-        ),
-        "survival": survival,
+        "path": "cohort",
     }
 
 
 # ---------------------------------------------------------------------------
 # Process-backend sharing
 #
-# The shared cohort tables, bin stores and standstill memos are stashed in
-# module globals *before* the engine creates its process pool: the fork
-# context snapshots them into every worker for free (the same mechanism that
-# carries user registry registrations).  On platforms without fork the
-# workers simply find the globals empty and take the per-vehicle emulate()
-# path — slower, bit-identical.
+# The shared cohort tables and demands are stashed in module globals
+# *before* the engine creates its process pool: the fork context snapshots
+# them into every worker for free (the same mechanism that carries user
+# registry registrations).  On platforms without fork the workers find the
+# globals empty and rebuild each cohort they meet through the same
+# functions — slower, bit-identical.
 # ---------------------------------------------------------------------------
 
-_SHARED_TABLES: dict[str, _CohortTable] = {}
-_SHARED_BINS: dict[str, dict] = {}
-_SHARED_STANDSTILL: dict[str, dict[int, float]] = {}
+_SHARED_TABLES: dict[str, CycleTable] = {}
+_SHARED_DEMANDS: dict = {}
 
 #: Per-worker-process component memo, keyed by (group key, array backend).
 _WORKER_COMPONENTS: dict[tuple[str, str], tuple] = {}
@@ -585,62 +283,39 @@ def _process_vehicle(payload) -> dict[str, object]:
         speed_scale,
         storage_scale,
         cohort_key,
-        group_key,
+        demand_key,
         buckets,
         record_interval_s,
         idle_step_s,
         array_backend,
         thermal_document,
-        force_fallback,
     ) = payload
     spec = ScenarioSpec.from_dict(document)
     thermal = (
         ThermalSpec.coerce(thermal_document) if thermal_document is not None else None
     )
-    node, database, evaluator = _worker_components(spec, array_backend)
+    components = _worker_components(spec, array_backend)
     table = _SHARED_TABLES.get(cohort_key)
-    bins = _SHARED_BINS.get(group_key, {})
-    usable = table is not None and not table.fallback
-    if usable and table.thermal and table.unit_load is None:
-        usable = False  # pragma: no cover - post-sweep tables always carry it
-    if usable and not force_fallback:
-        outcome = _cohort_vehicle_outcome(
-            vehicle_index,
-            spec,
-            speed_scale,
-            storage_scale,
-            node,
-            table,
-            bins,
-            _SHARED_STANDSTILL.get(group_key, {}),
-            buckets,
-            array_backend=evaluator.backend,
-        )
-        outcome["path"] = "cohort"
-        return outcome
-    if force_fallback:
-        reason = "forced"
-    elif table is None:
-        reason = "no-shared-table"
-    else:
-        reason = table.fallback_reason or "schedule"
-    outcome = _emulate_vehicle_outcome(
+    demand = _SHARED_DEMANDS.get(demand_key)
+    if table is None or demand is None:  # pragma: no cover - platform without fork
+        probe = _probe(components, spec)
+        walk = _walk(probe, spec, speed_scale, record_interval_s, idle_step_s)
+        table = _cohort_table(walk, spec, thermal)
+        demand = probe.resolve(table, _temperatures(table, spec, thermal))[2]
+        _SHARED_TABLES[cohort_key] = table
+        _SHARED_DEMANDS[demand_key] = demand
+    return _vehicle_outcome(
         vehicle_index,
         spec,
         speed_scale,
         storage_scale,
-        node,
-        database,
-        evaluator,
-        bins,
+        components[0].name,
+        table,
+        demand,
+        _temperatures(table, spec, thermal),
         buckets,
-        record_interval_s,
-        idle_step_s,
-        thermal=thermal,
+        array_backend=components[2].backend,
     )
-    outcome["path"] = "fallback"
-    outcome["fallback_reason"] = reason
-    return outcome
 
 
 class FleetRunner:
@@ -687,12 +362,6 @@ class FleetRunner:
             bit-identical to the pre-seam runner.  Callers sharing one
             ``evaluator_cache`` across runs should use one backend per
             process — the cache key is (rightly) backend-free.
-        force_fallback: route EVERY vehicle through the per-vehicle
-            ``emulate()`` fallback (reason ``"forced"``) even where the
-            cohort fast path applies.  A benchmarking/debug knob — the
-            results are bit-identical either way (that is the fast path's
-            contract), only slower; like ``array_backend`` it is an
-            execution policy and never enters :meth:`checkpoint_key`.
     """
 
     def __init__(
@@ -712,7 +381,6 @@ class FleetRunner:
         should_stop=None,
         evaluator_cache=None,
         array_backend=None,
-        force_fallback: bool = False,
     ) -> None:
         if not isinstance(fleet, FleetSpec):
             raise ConfigError(f"a fleet runner needs a FleetSpec, got {type(fleet).__name__}")
@@ -737,7 +405,6 @@ class FleetRunner:
         self.checkpoint = checkpoint
         self.max_chunks = max_chunks
         self.array_backend = resolve_backend(array_backend)
-        self.force_fallback = bool(force_fallback)
         self.progress = progress
         self.should_stop = should_stop
         self._evaluator_cache = evaluator_cache
@@ -775,128 +442,64 @@ class FleetRunner:
         return components
 
     def _build_shared_state(self, chunks):
-        """Groups, cohort tables, standstill memos and the cross-vehicle sweep.
+        """Groups, cohort tables, the cross-vehicle sweep and the demands.
 
         One streaming discovery pass: vehicles arrive chunk by chunk and are
         *discarded* after inspection — the parent only retains the per-group
         and per-cohort structures (whose cardinality is bounded by the
         distinct (architecture, cycle, scale, temperature) combinations, not
-        by the population size).  Group/cohort/bin insertion order matches
-        the vehicle order exactly, so the cross-vehicle sweep sees the same
-        bin sequence an eagerly materialized population would produce.
+        by the population size).
+
+        Returns ``(probes, tables, demands, shared_bins)``: the probe
+        emulator per group, the table per cohort, the demand per
+        :func:`_demand_key`, and the number of swept bins.
         """
         thermal = self.fleet.thermal
-        groups: dict[str, tuple] = {}
         probes: dict[str, NodeEmulator] = {}
-        tables: dict[str, _CohortTable] = {}
-        standstill: dict[str, dict[int, float]] = {}
         pending: dict[str, dict] = {}
+        errors: dict[str, dict] = {}
+        walks: dict[str, CycleTable] = {}
+        tables: dict[str, CycleTable] = {}
+        round_keys: dict = {}
         for chunk in chunks:
             for vehicle in chunk:
                 spec = vehicle.scenario
                 gkey = _group_key(spec)
-                if gkey not in groups:
-                    groups[gkey] = self._components_for(spec)
-                    standstill[gkey] = {}
-                    pending[gkey] = {}
+                probe = probes.get(gkey)
+                if probe is None:
+                    probe = probes[gkey] = _probe(self._components_for(spec), spec)
+                    pending[gkey], errors[gkey] = {}, {}
                 ckey = _cohort_key(vehicle, thermal)
                 table = tables.get(ckey)
                 if table is None:
-                    node, database, evaluator = groups[gkey]
-                    probe = probes.get(gkey)
-                    if probe is None:
-                        probe = NodeEmulator(
-                            node,
-                            database,
-                            spec.build_scavenger(),
-                            spec.build_storage(),
-                            base_point=spec.operating_point(),
-                            evaluator=evaluator,
+                    # The wheel-round walk does not depend on the ambient:
+                    # thermal cohorts of one (cycle, speed scale) share it.
+                    wkey = _cohort_key(vehicle)
+                    walk = walks.get(wkey)
+                    if walk is None:
+                        walk = walks[wkey] = _walk(
+                            probe,
+                            spec,
+                            vehicle.speed_scale,
+                            self.record_interval_s,
+                            self.idle_step_s,
                         )
-                        probes[gkey] = probe
-                    cycle = spec.build_drive_cycle().scaled(vehicle.speed_scale)
-                    # Thermal cohorts replay a freshly built model at the
-                    # cohort's bin-center ambient — which IS the vehicle's
-                    # (materialization-snapped) ambient, so the replayed
-                    # trajectory equals each member vehicle's own.
-                    table = _build_cohort_table(
-                        probe,
-                        cycle,
-                        self.record_interval_s,
-                        self.idle_step_s,
-                        thermal_model=(
-                            thermal.build(spec.temperature_c)
-                            if thermal is not None
-                            else None
-                        ),
-                    )
-                    table.group_key = gkey
-                    tables[ckey] = table
-                    if table.thermal and not table.fallback:
-                        # Trajectory-driven demand: the bin union spans the
-                        # cohort's (speed, temperature, pattern) triples, and
-                        # the standstill memo must cover every unit's
-                        # trajectory temperature, not one ambient pin.
-                        group_pending = pending[gkey]
-                        for key, eval_speed, temp_center, schedule in table.triples:
-                            if key not in group_pending:
-                                group_pending[key] = (eval_speed, temp_center, schedule)
-                        group_standstill = standstill[gkey]
-                        for raw_bin in table.unit_temp_bins:
-                            unit_bin = int(raw_bin)
-                            if unit_bin not in group_standstill:
-                                group_standstill[unit_bin] = probe._standstill_power(
-                                    temperature_bin_center_c(unit_bin)
-                                )
-                if table.thermal:
-                    continue
-                temp_bin = temperature_bin(spec.temperature_c)
-                if temp_bin not in standstill[gkey]:
-                    standstill[gkey][temp_bin] = probes[gkey]._standstill_power(
-                        temperature_bin_center_c(temp_bin)
-                    )
-                if table.fallback:
-                    continue
-                table.seen_temp_bins.add(temp_bin)
-                group_pending = pending[gkey]
-                for speed_key, pattern, eval_speed, schedule in table.unique_bins:
-                    key = (speed_key, temp_bin, *pattern)
-                    if key not in group_pending:
-                        group_pending[key] = (
-                            eval_speed,
-                            temperature_bin_center_c(temp_bin),
-                            schedule,
-                        )
+                    table = tables[ckey] = _cohort_table(walk, spec, thermal)
+                dkey = _demand_key(ckey, spec, thermal)
+                if dkey not in round_keys:
+                    keys = probe.round_keys(table, _temperatures(table, spec, thermal))
+                    probe.collect_bins(table, keys, {}, pending[gkey], errors[gkey])
+                    round_keys[dkey] = (gkey, table, keys)
 
         # ONE cross-vehicle sweep per group: the union of quantized bins over
         # every vehicle of the group, evaluated in a single batch call.
-        bins: dict[str, dict] = {}
-        for gkey, group_pending in pending.items():
-            bins[gkey] = probes[gkey].evaluate_energy_bins(group_pending)
-
-        # Post-sweep gather precompute: the per-vehicle demand side is a
-        # pure gather over the swept bins, so hoist it out of the per-vehicle
-        # kernel — the full per-unit load vector for thermal cohorts (it is
-        # vehicle-independent), one energy array per (cohort, temperature
-        # bin) for constant ones.
-        for table in tables.values():
-            if table.fallback:
-                continue
-            node = groups[table.group_key][0]
-            group_bins = bins[table.group_key]
-            if table.thermal:
-                table.unit_load = _thermal_unit_load(
-                    table, node, group_bins, standstill[table.group_key]
-                )
-            else:
-                for temp_bin in sorted(table.seen_temp_bins):
-                    table.energies_by_temp_bin[temp_bin] = np.array(
-                        [
-                            group_bins[(speed_key, temp_bin, *pattern)][0]
-                            for speed_key, pattern, _eval_speed, _schedule in table.unique_bins
-                        ]
-                    )
-        return groups, tables, bins, standstill
+        entries = {gkey: probes[gkey].evaluate_energy_bins(pending[gkey]) for gkey in probes}
+        demands: dict = {}
+        while round_keys:
+            dkey, (gkey, table, keys) = round_keys.popitem()
+            demands[dkey] = probes[gkey].demand(table, keys, entries[gkey], errors[gkey])
+        shared_bins = sum(len(group_entries) for group_entries in entries.values())
+        return probes, tables, demands, shared_bins
 
     # -- execution ----------------------------------------------------------
 
@@ -922,7 +525,9 @@ class FleetRunner:
         # Discovery pass: stream the population once to find the groups,
         # cohorts and energy bins; individual vehicles are discarded, so the
         # parent never holds more than one chunk of them.
-        groups, tables, bins, standstill = self._build_shared_state(fleet.iter_chunks())
+        probes, tables, demands, shared_bins = self._build_shared_state(
+            fleet.iter_chunks()
+        )
         store = (
             CheckpointStore(self.checkpoint, self.checkpoint_key())
             if self.checkpoint is not None
@@ -936,94 +541,55 @@ class FleetRunner:
         buckets = self.survival_buckets
         thermal = fleet.thermal
         thermal_document = thermal.to_dict() if thermal is not None else None
-        force_fallback = self.force_fallback
 
         def kernel(vehicle: FleetVehicle) -> dict[str, object]:
             spec = vehicle.scenario
-            gkey = _group_key(spec)
-            node, database, evaluator = groups[gkey]
-            table = tables[_cohort_key(vehicle, thermal)]
-            if not table.fallback and not force_fallback:
-                outcome = _cohort_vehicle_outcome(
-                    vehicle.index,
-                    spec,
-                    vehicle.speed_scale,
-                    vehicle.storage_scale,
-                    node,
-                    table,
-                    bins[gkey],
-                    standstill[gkey],
-                    buckets,
-                    array_backend=self.array_backend,
-                )
-                outcome["path"] = "cohort"
-                return outcome
-            outcome = _emulate_vehicle_outcome(
+            ckey = _cohort_key(vehicle, thermal)
+            table = tables[ckey]
+            return _vehicle_outcome(
                 vehicle.index,
                 spec,
                 vehicle.speed_scale,
                 vehicle.storage_scale,
-                node,
-                database,
-                evaluator,
-                bins[gkey],
+                probes[_group_key(spec)].node.name,
+                table,
+                demands[_demand_key(ckey, spec, thermal)],
+                _temperatures(table, spec, thermal),
                 buckets,
-                self.record_interval_s,
-                self.idle_step_s,
-                thermal=thermal,
+                array_backend=self.array_backend,
             )
-            outcome["path"] = "fallback"
-            outcome["fallback_reason"] = (
-                "forced" if force_fallback else (table.fallback_reason or "schedule")
-            )
-            return outcome
 
         def payload(vehicle: FleetVehicle):
+            ckey = _cohort_key(vehicle, thermal)
             return (
                 vehicle.scenario.to_dict(),
                 vehicle.index,
                 vehicle.speed_scale,
                 vehicle.storage_scale,
-                _cohort_key(vehicle, thermal),
-                _group_key(vehicle.scenario),
+                ckey,
+                _demand_key(ckey, vehicle.scenario, thermal),
                 buckets,
                 self.record_interval_s,
                 self.idle_step_s,
                 self.array_backend.name,
                 thermal_document,
-                force_fallback,
             )
 
         if self.backend == "process":
             # Fork-inherited sharing: stash the shared state where worker
             # processes (created by the engine below) will find it.  One
             # process-backend fleet run at a time per parent process — a
-            # concurrent run would clobber these and silently demote the
-            # first run's workers to the per-vehicle fallback.
+            # concurrent run would clobber these.
             _SHARED_TABLES.clear()
             _SHARED_TABLES.update(tables)
-            _SHARED_BINS.clear()
-            _SHARED_BINS.update(bins)
-            _SHARED_STANDSTILL.clear()
-            _SHARED_STANDSTILL.update(standstill)
-        # Path observability: every outcome is tagged with the path it took,
-        # so a fast-path regression (new fallback reason, demoted cohort)
-        # shows up as a counter instead of a silent slowdown.  Outcomes
-        # replayed from a pre-tagging checkpoint journal carry no tag and
-        # are counted as untagged.
-        path_counts = {"cohort": 0, "fallback": 0, "untagged": 0}
-        fallback_reasons: dict[str, int] = {}
+            _SHARED_DEMANDS.clear()
+            _SHARED_DEMANDS.update(demands)
+        # Outcomes replayed from a checkpoint journal written before outcomes
+        # carried a path tag count as untagged.
+        path_counts = {"cohort": 0, "untagged": 0}
 
         def sink(_index, outcome) -> None:
-            path = outcome.get("path")
-            if path == "cohort":
-                path_counts["cohort"] += 1
-            elif path == "fallback":
-                path_counts["fallback"] += 1
-                reason = outcome.get("fallback_reason") or "unspecified"
-                fallback_reasons[reason] = fallback_reasons.get(reason, 0) + 1
-            else:
-                path_counts["untagged"] += 1
+            path_counts["cohort" if outcome.get("path") == "cohort" else "untagged"] += 1
             accumulator.add(outcome)
 
         try:
@@ -1041,13 +607,11 @@ class FleetRunner:
         finally:
             if self.backend == "process":
                 # The forked pool snapshotted the globals at creation; the
-                # parent must not keep the cohort tables/bin stores alive
-                # (or visible to a later run) once the run is over.
+                # parent must not keep the cohort tables/demands alive (or
+                # visible to a later run) once the run is over.
                 _SHARED_TABLES.clear()
-                _SHARED_BINS.clear()
-                _SHARED_STANDSTILL.clear()
+                _SHARED_DEMANDS.clear()
 
-        shared_bin_count = sum(len(group_bins) for group_bins in bins.values())
         partial = report.stopped_early or bool(report.failures)
         metadata = {
             "kind": "fleet",
@@ -1056,18 +620,12 @@ class FleetRunner:
             "seed": fleet.seed,
             "base_scenario": fleet.base.to_dict(),
             "fleet_document": fleet.to_dict(),
-            "groups": len(groups),
+            "groups": len(probes),
             "cohorts": len(tables),
-            "fallback_cohorts": sum(1 for table in tables.values() if table.fallback),
             "fast_path_vehicles": path_counts["cohort"],
-            "fallback_vehicles": path_counts["fallback"],
             "untagged_vehicles": path_counts["untagged"],
-            "fallback_reasons": {
-                reason: fallback_reasons[reason] for reason in sorted(fallback_reasons)
-            },
-            "force_fallback": force_fallback,
             "thermal": thermal_document,
-            "shared_energy_bins": shared_bin_count,
+            "shared_energy_bins": shared_bins,
             "speed_quantum_kmh": SPEED_QUANTUM_KMH,
             "temperature_quantum_c": TEMPERATURE_QUANTUM_C,
             "ambient_quantum_c": AMBIENT_QUANTUM_C if thermal is not None else None,

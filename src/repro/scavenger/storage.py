@@ -21,11 +21,11 @@ from repro.errors import ConfigurationError, EmulationError
 # Ledger step primitives
 #
 # The charge/discharge/leak arithmetic is defined ONCE here and shared by
-# three consumers: the mutating :class:`StorageElement` methods (the scalar,
-# authoritative reference), the pure :func:`trajectory` kernel, and the
-# emulator's array-based integration loop.  Keeping them single-sourced is
-# what makes the emulator's byte-identity contract cheap to maintain — a
-# change to the ledger semantics cannot desynchronize the paths.
+# the mutating :class:`StorageElement` methods (the scalar, authoritative
+# reference) and the pure :func:`trajectory` kernel every emulation
+# integrates through.  Keeping them single-sourced is what makes the
+# emulator's byte-identity contract cheap to maintain — a change to the
+# ledger semantics cannot desynchronize the two.
 # ---------------------------------------------------------------------------
 
 

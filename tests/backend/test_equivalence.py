@@ -88,7 +88,7 @@ class TestNumpyBackendIsBitIdentical:
                 thermal_model=TyreThermalModel(time_constant_s=120.0),
                 evaluator=evaluator,
             )
-            return emulator.emulate(cycle, prefill=True)
+            return emulator.emulate(cycle)
 
         ours, theirs = run("numpy").sample_arrays(), run(None).sample_arrays()
         for key in ours:
@@ -134,7 +134,10 @@ class TestFloat32Policy:
                 thermal_model=TyreThermalModel(time_constant_s=120.0),
                 evaluator=evaluator,
             )
-            pending = emulator._pending_energy_bins(cycle, idle_step_s=1.0)
+            table = emulator.materialize_cycle(cycle, thermal_model=emulator.thermal_model)
+            pending: dict = {}
+            keys = emulator.round_keys(table, table.temps)
+            emulator.collect_bins(table, keys, {}, pending, {})
             assert pending
             evaluated = emulator.evaluate_energy_bins(pending)
             return np.array(

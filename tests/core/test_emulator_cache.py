@@ -90,6 +90,11 @@ class TestCacheReuse:
         ).emulate(cycle)
         assert warm.consumed_j == pytest.approx(fresh.consumed_j)
 
+    @staticmethod
+    def _one_round(node, speed):
+        """A cruise lasting exactly one wheel round at ``speed``."""
+        return constant_cruise(speed, duration_s=node.wheel.revolution_period_s(speed))
+
     def test_feasibility_boundary_round_falls_back_to_exact_speed(
         self, node, database, scavenger, monkeypatch
     ):
@@ -97,7 +102,6 @@ class TestCacheReuse:
         must still emulate, keyed on the exact speed."""
         from repro.blocks.node import SensorNode
         from repro.errors import ScheduleError
-        from repro.timing.wheel_round import WheelRound
 
         emulator = NodeEmulator(node, database, scavenger, supercapacitor())
         original = SensorNode.schedule_for
@@ -109,20 +113,15 @@ class TestCacheReuse:
 
         monkeypatch.setattr(SensorNode, "schedule_for", limited)
         speed = 179.9  # feasible, but its bin center (180.0) is not
-        unit = WheelRound(
-            index=0,
-            start_s=0.0,
-            period_s=node.wheel.revolution_period_s(speed),
-            speed_kmh=speed,
-        )
-        energy, phases = emulator._revolution_energy(unit, 25.0)
-        assert energy > 0.0 and phases
+        cycle = self._one_round(node, speed)
+        first = emulator.emulate(cycle)
+        assert first.revolutions == 1 and first.active_revolutions == 1
+        assert first.consumed_j > 0.0
         assert any(key[0] == ("exact", speed) for key in emulator._energy_cache)
         # The boundary (bin, pattern) is classified once as exact-keyed so
         # later rounds in the same bin skip the doomed schedule build.
         assert any(key[0] == round(speed / 0.5) for key in emulator._exact_speed_keys)
-        again, _ = emulator._revolution_energy(unit, 25.0)
-        assert again == energy
+        assert emulator.emulate(cycle) == first
 
     def test_cached_bin_does_not_mask_faster_infeasible_speed(
         self, node, database, scavenger, monkeypatch
@@ -131,7 +130,6 @@ class TestCacheReuse:
         ScheduleError for a later, faster, infeasible speed in the same bin."""
         from repro.blocks.node import SensorNode
         from repro.errors import ScheduleError
-        from repro.timing.wheel_round import WheelRound
 
         emulator = NodeEmulator(node, database, scavenger, supercapacitor())
         original = SensorNode.schedule_for
@@ -142,19 +140,10 @@ class TestCacheReuse:
             return original(self, speed_kmh, revolution_index)
 
         monkeypatch.setattr(SensorNode, "schedule_for", limited)
-
-        def round_at(speed):
-            return WheelRound(
-                index=0,
-                start_s=0.0,
-                period_s=node.wheel.revolution_period_s(speed),
-                speed_kmh=speed,
-            )
-
         # 179.9 and 180.2 share bin 360 (center 180.0, feasible).
-        emulator._revolution_energy(round_at(179.9), 25.0)  # seeds the bin
+        emulator.emulate(self._one_round(node, 179.9))  # seeds the bin
         with pytest.raises(ScheduleError):
-            emulator._revolution_energy(round_at(180.2), 25.0)
+            emulator.emulate(self._one_round(node, 180.2))
 
     def test_infeasible_exact_speed_still_raises(
         self, node, database, scavenger, monkeypatch
@@ -162,7 +151,6 @@ class TestCacheReuse:
         """A feasible bin center must not mask an infeasible actual speed."""
         from repro.blocks.node import SensorNode
         from repro.errors import ScheduleError
-        from repro.timing.wheel_round import WheelRound
 
         emulator = NodeEmulator(node, database, scavenger, supercapacitor())
         original = SensorNode.schedule_for
@@ -173,15 +161,9 @@ class TestCacheReuse:
             return original(self, speed_kmh, revolution_index)
 
         monkeypatch.setattr(SensorNode, "schedule_for", limited)
-        speed = 180.1  # infeasible, but its bin center (180.0) is feasible
-        unit = WheelRound(
-            index=0,
-            start_s=0.0,
-            period_s=node.wheel.revolution_period_s(speed),
-            speed_kmh=speed,
-        )
+        # 180.1 is infeasible, but its bin center (180.0) is feasible.
         with pytest.raises(ScheduleError):
-            emulator._revolution_energy(unit, 25.0)
+            emulator.emulate(self._one_round(node, 180.1))
 
     def test_bin_sharing_speeds_do_not_leak_history(self, node, database, scavenger):
         """Two speeds in the same 0.5 km/h bin must not cross-contaminate runs.
@@ -312,3 +294,106 @@ class TestSampleLog:
         result = EmulationResult(node_name="n", cycle_name="c", duration_s=1.0)
         with pytest.raises(AttributeError):
             result.samples.append("nope")
+
+
+class TestErrorTiming:
+    """The simulated instant at which an infeasible speed or an out-of-range
+    temperature raises, pinned on an 80 -> 130 km/h ramp against a node
+    whose schedules cannot be built at or above 100 km/h."""
+
+    LIMIT_KMH = 100.0
+
+    @pytest.fixture
+    def limited_node(self, monkeypatch):
+        from repro.blocks.node import SensorNode
+        from repro.errors import ScheduleError
+
+        original = SensorNode.schedule_for_pattern
+        limit = self.LIMIT_KMH
+
+        def limited(self, speed_kmh, *args, **kwargs):
+            if speed_kmh >= limit:
+                raise ScheduleError(f"limited test node: {speed_kmh!r} km/h")
+            return original(self, speed_kmh, *args, **kwargs)
+
+        monkeypatch.setattr(SensorNode, "schedule_for_pattern", limited)
+
+    @staticmethod
+    def _ramp():
+        from repro.vehicle.drive_cycle import DriveCycle, DriveCyclePhase
+
+        return DriveCycle(
+            phases=[DriveCyclePhase(duration_s=60.0, start_kmh=80.0, end_kmh=130.0)],
+            name="ramp-past-limit",
+        )
+
+    @staticmethod
+    def _never_restarting():
+        from repro.scavenger.storage import StorageElement
+
+        return StorageElement(
+            capacity_j=0.25, initial_charge_j=0.0, restart_level_j=0.25
+        )
+
+    def test_node_that_never_restarts_does_not_raise(
+        self, node, database, scavenger, limited_node
+    ):
+        result = NodeEmulator(
+            node, database, scavenger, self._never_restarting()
+        ).emulate(self._ramp())
+        assert result.revolutions == 906
+        assert result.active_revolutions == 0
+        assert result.consumed_j == 0.0
+
+    def test_live_node_raises_on_first_attempted_infeasible_speed(
+        self, node, database, scavenger, limited_node
+    ):
+        from repro.errors import ScheduleError
+        from repro.timing.wheel_round import WheelRound, iter_wheel_rounds
+
+        cycle = self._ramp()
+        first = next(
+            unit.speed_kmh
+            for unit in iter_wheel_rounds(cycle, node.wheel, idle_step_s=1.0)
+            if isinstance(unit, WheelRound) and unit.speed_kmh >= self.LIMIT_KMH
+        )
+        assert first == pytest.approx(100.0407, abs=1e-4)
+        emulator = NodeEmulator(node, database, scavenger, supercapacitor())
+        with pytest.raises(ScheduleError) as error:
+            emulator.emulate(cycle)
+        assert str(error.value) == f"limited test node: {first!r} km/h"
+
+    def test_out_of_range_temperature_raises_while_browned_out(
+        self, node, database, scavenger, limited_node
+    ):
+        from repro.errors import ConfigurationError
+        from repro.timing.wheel_round import WheelRound, iter_wheel_rounds
+
+        cycle = self._ramp()
+
+        def thermal():
+            return TyreThermalModel(ambient_celsius=195.0, time_constant_s=30.0)
+
+        replay = thermal()
+        offending = None
+        for unit in iter_wheel_rounds(cycle, node.wheel, idle_step_s=1.0):
+            if isinstance(unit, WheelRound):
+                temperature = replay.advance(unit.period_s, unit.speed_kmh / 3.6)
+            else:
+                temperature = replay.advance(unit.duration_s, 0.0)
+            if temperature > 200.0:
+                offending = temperature
+                break
+        assert offending is not None
+        emulator = NodeEmulator(
+            node,
+            database,
+            scavenger,
+            self._never_restarting(),
+            thermal_model=thermal(),
+        )
+        with pytest.raises(ConfigurationError) as error:
+            emulator.emulate(cycle)
+        assert str(error.value) == (
+            f"temperature {offending} degC is outside the modelled range"
+        )

@@ -1,28 +1,32 @@
-"""Tests for the emulator's batch prefill of the revolution-energy cache.
+"""``emulate()`` against the scalar, step-by-step oracle.
 
-The contract is strict: ``emulate(prefill=True)`` must produce *byte
-identical* output to ``emulate(prefill=False)`` — same totals, same
-``SampleLog`` bytes, same trace — because prefilled cache entries are pure
-functions of the same quantized keys the per-miss path uses, evaluated
-through the same batch kernel.
+``emulate()`` walks the cycle once, resolves every quantized revolution
+energy with one batch call and integrates through the pure ``trajectory``
+kernel.  The reference it must match *byte for byte* is
+:func:`emulation_oracle.oracle`, a mutating ``StorageElement`` replay over
+scalar per-round energies.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from emulation_oracle import oracle
 
 from repro.conditions.temperature import TyreThermalModel
-from repro.core.emulator import NodeEmulator
+from repro.core.emulator import EmulationResult, NodeEmulator
+from repro.core.quantize import speed_bin_center_kmh, temperature_bin_center_c
+from repro.errors import ScheduleError
 from repro.scavenger.storage import supercapacitor
 from repro.vehicle.drive_cycle import DriveCycle, DriveCyclePhase, urban_cycle
 
 
-def _thermal_emulator(node, database, scavenger) -> NodeEmulator:
+def _thermal_emulator(node, database, scavenger, storage=None) -> NodeEmulator:
     return NodeEmulator(
         node,
         database,
         scavenger,
-        supercapacitor(initial_fraction=0.3),
+        storage or supercapacitor(initial_fraction=0.3),
         thermal_model=TyreThermalModel(time_constant_s=120.0),
     )
 
@@ -40,99 +44,84 @@ def _hour_cycle() -> DriveCycle:
     return DriveCycle(phases=phases, name="hour")
 
 
+def _assert_byte_identical(ours: EmulationResult, theirs: EmulationResult) -> None:
+    left, right = ours.sample_arrays(), theirs.sample_arrays()
+    for key in left:
+        assert left[key].tobytes() == right[key].tobytes(), key
+    assert ours == theirs
+
+
 class TestPrefillByteIdentity:
     def test_hour_long_cycle_samplelog_is_byte_identical(
         self, node, database, scavenger
     ):
-        cycle = _hour_cycle()
-        with_prefill = _thermal_emulator(node, database, scavenger).emulate(
-            cycle, prefill=True
-        )
-        without = _thermal_emulator(node, database, scavenger).emulate(
-            cycle, prefill=False
-        )
-        ours, theirs = with_prefill.sample_arrays(), without.sample_arrays()
-        for key in ours:
-            assert ours[key].tobytes() == theirs[key].tobytes(), key
-        assert with_prefill == without
+        emulator = _thermal_emulator(node, database, scavenger)
+        expected, _storage = oracle(emulator, _hour_cycle())
+        _assert_byte_identical(emulator.emulate(_hour_cycle()), expected)
 
     def test_trace_window_is_identical(self, node, database, scavenger):
         cycle = urban_cycle(repetitions=1)
         window = (10.0, 12.0)
-        with_prefill = _thermal_emulator(node, database, scavenger).emulate(
-            cycle, trace_window=window, prefill=True
-        )
-        without = _thermal_emulator(node, database, scavenger).emulate(
-            cycle, trace_window=window, prefill=False
-        )
-        assert with_prefill.trace == without.trace
+        emulator = _thermal_emulator(node, database, scavenger)
+        expected, _storage = oracle(emulator, cycle, trace_window=window)
+        result = emulator.emulate(cycle, trace_window=window)
+        assert not result.trace.is_empty
+        assert result.trace == expected.trace
 
     def test_constant_temperature_run_is_identical(self, node, database, scavenger):
         cycle = urban_cycle(repetitions=2)
-        with_prefill = NodeEmulator(
-            node, database, scavenger, supercapacitor()
-        ).emulate(cycle, prefill=True)
-        without = NodeEmulator(
-            node, database, scavenger, supercapacitor()
-        ).emulate(cycle, prefill=False)
-        assert with_prefill == without
+        emulator = NodeEmulator(node, database, scavenger, supercapacitor())
+        expected, _storage = oracle(emulator, cycle)
+        _assert_byte_identical(emulator.emulate(cycle), expected)
 
 
 class TestPrefillMechanics:
-    def test_prefill_fills_the_cache_before_the_loop(self, node, database, scavenger):
-        emulator = _thermal_emulator(node, database, scavenger)
-        filled = emulator._prefill_energy_cache(_hour_cycle(), idle_step_s=1.0)
-        assert filled > 0
-        assert len(emulator._energy_cache) == filled
+    @staticmethod
+    def _count_bins(monkeypatch) -> list[int]:
+        sizes: list[int] = []
+        original = NodeEmulator.evaluate_energy_bins
 
-    def test_second_prefill_is_a_no_op(self, node, database, scavenger):
-        emulator = _thermal_emulator(node, database, scavenger)
-        cycle = _hour_cycle()
-        first = emulator._prefill_energy_cache(cycle, idle_step_s=1.0)
-        assert first > 0
-        assert emulator._prefill_energy_cache(cycle, idle_step_s=1.0) == 0
+        def counting(self, pending):
+            sizes.append(len(pending))
+            return original(self, pending)
 
-    def test_warm_cycle_skips_the_rescan(self, node, database, scavenger, monkeypatch):
-        """A completed scan is memoized: warm emulate() runs do not re-walk."""
-        emulator = _thermal_emulator(node, database, scavenger)
-        cycle = _hour_cycle()
-        emulator.emulate(cycle)
-        scans = []
-        original = NodeEmulator._pending_energy_bins
+        monkeypatch.setattr(NodeEmulator, "evaluate_energy_bins", counting)
+        return sizes
 
-        def counting(self, *args, **kwargs):
-            scans.append(args)
-            return original(self, *args, **kwargs)
-
-        monkeypatch.setattr(NodeEmulator, "_pending_energy_bins", counting)
-        warm = emulator.emulate(cycle)
-        assert scans == [], "warm run re-scanned the cycle"
-        fresh = _thermal_emulator(node, database, scavenger).emulate(cycle)
-        assert warm == fresh
-
-    def test_base_point_change_invalidates_the_scan_memo(
-        self, node, database, scavenger
+    def test_prefill_fills_the_cache_before_the_loop(
+        self, node, database, scavenger, monkeypatch
     ):
-        from repro.conditions.operating_point import OperatingPoint
+        sizes = self._count_bins(monkeypatch)
+        emulator = _thermal_emulator(node, database, scavenger)
+        emulator.emulate(_hour_cycle())
+        # ONE batch call resolved every bin of the cycle.
+        assert len(sizes) == 1 and sizes[0] > 0
+        assert len(emulator._energy_cache) == sizes[0]
 
+    def test_second_prefill_is_a_no_op(self, node, database, scavenger, monkeypatch):
         emulator = _thermal_emulator(node, database, scavenger)
         cycle = _hour_cycle()
-        emulator.emulate(cycle)
-        assert emulator._prefilled_cycles
-        emulator.base_point = OperatingPoint(temperature_c=40.0)
-        emulator.emulate(cycle)  # _ensure_caches_fresh clears the memo
-        assert emulator._prefilled_cycles  # re-scanned and re-memoized
+        first = emulator.emulate(cycle)
+        sizes = self._count_bins(monkeypatch)
+        assert emulator.emulate(cycle) == first
+        assert sizes == [0], "a warm run evaluated bins again"
 
     def test_prefill_resets_the_thermal_model(self, node, database, scavenger):
         emulator = _thermal_emulator(node, database, scavenger)
         ambient = emulator.thermal_model.current_celsius
-        emulator._prefill_energy_cache(_hour_cycle(), idle_step_s=1.0)
+        # An isothermal table leaves the emulator's own model untouched ...
+        table = emulator.materialize_cycle(_hour_cycle())
+        emulator.resolve(table, table.temps)
         assert emulator.thermal_model.current_celsius == ambient
+        assert np.all(table.temps == emulator.base_point.temperature_c)
+        # ... and every emulate() replays its model from the reset state.
+        first = emulator.emulate(_hour_cycle())
+        assert emulator.thermal_model.current_celsius != ambient
+        assert emulator.emulate(_hour_cycle()) == first
 
     def test_prefill_skips_infeasible_bins(self, node, database, scavenger, monkeypatch):
-        """Rounds whose schedule cannot be built are left to the main loop."""
+        """Rounds whose schedule cannot be built stay unresolved, not evaluated."""
         from repro.blocks.node import SensorNode
-        from repro.errors import ScheduleError
 
         original = SensorNode.schedule_for
 
@@ -147,38 +136,65 @@ class TestPrefillMechanics:
             phases=[DriveCyclePhase(duration_s=60.0, start_kmh=80.0, end_kmh=130.0)],
             name="ramp-past-limit",
         )
-        emulator._prefill_energy_cache(cycle, idle_step_s=1.0)
+        table = emulator.materialize_cycle(cycle)
+        _keys, _entries, demand = emulator.resolve(table, table.temps)
         assert all(
             not (isinstance(key[0], int) and key[0] >= 200)
             for key in emulator._energy_cache
-        ), "a bin past the feasibility limit was prefilled"
-        # The integration loop then raises at the first unsustainable round,
-        # exactly as without prefill.
+        ), "a bin past the feasibility limit was evaluated"
+        assert demand.unresolved.size > 0
+        assert np.all(np.isinf(demand.load[demand.unresolved]))
+        # The run then raises at the first unsustainable round the node tries.
         with pytest.raises(ScheduleError):
-            emulator.emulate(cycle, prefill=True)
+            emulator.emulate(cycle)
 
     def test_prefill_entries_match_miss_entries(self, node, database, scavenger):
-        """Prefilled values must be bitwise what the miss path computes."""
-        cycle = _hour_cycle()
-        prefilled = _thermal_emulator(node, database, scavenger)
-        prefilled._prefill_energy_cache(cycle, idle_step_s=1.0)
-        scalar = _thermal_emulator(node, database, scavenger)
-        scalar.emulate(cycle, prefill=False)
-        shared = set(prefilled._energy_cache) & set(scalar._energy_cache)
-        assert shared, "no common cache keys between prefill and miss paths"
-        for key in shared:
-            assert prefilled._energy_cache[key] == scalar._energy_cache[key], key
+        """Batch-resolved values are bitwise the width-1 compiled evaluation."""
+        emulator = _thermal_emulator(node, database, scavenger)
+        table = emulator.materialize_cycle(
+            _hour_cycle(), thermal_model=TyreThermalModel(time_constant_s=120.0)
+        )
+        _keys, entries, _demand = emulator.resolve(table, table.temps)
+        assert entries
+        for key, value in entries.items():
+            speed_key, temperature_bin_index, *pattern = key
+            speed = (
+                speed_key[1] if isinstance(speed_key, tuple) else speed_bin_center_kmh(speed_key)
+            )
+            center = temperature_bin_center_c(temperature_bin_index)
+            point = emulator.base_point.at_speed(speed).at_temperature(center)
+            schedule = node.schedule_for_pattern(speed, *pattern)
+            assert emulator.evaluator.schedule_energy_compiled(schedule, point) == value, key
+
+    def test_infeasible_center_rounds_key_on_exact_speeds(
+        self, node, database, scavenger, monkeypatch
+    ):
+        """A bin whose center fails while its upper edge passes keys its
+        rounds on their exact speeds (and memoizes the center)."""
+        from repro.blocks.node import SensorNode
+
+        original = SensorNode.schedule_for
+        center = speed_bin_center_kmh(200)
+
+        def pocket(self, speed_kmh, revolution_index=0):
+            if speed_kmh == center:
+                raise ScheduleError("feasibility pocket")
+            return original(self, speed_kmh, revolution_index)
+
+        monkeypatch.setattr(SensorNode, "schedule_for", pocket)
+        emulator = NodeEmulator(node, database, scavenger, supercapacitor())
+        cycle = DriveCycle(
+            phases=[DriveCyclePhase(duration_s=60.0, start_kmh=80.0, end_kmh=130.0)],
+            name="ramp-through-pocket",
+        )
+        expected, _storage = oracle(emulator, cycle)
+        _assert_byte_identical(emulator.emulate(cycle), expected)
+        assert any(key[0] == 200 for key in emulator._infeasible_center_keys)
+        assert all(key[0] != 200 for key in emulator._energy_cache)
 
 
 class TestArrayCoreByteIdentity:
-    """The array-based integration core: kernel path ≡ stepwise reference.
-
-    ``emulate()`` integrates through the pure ``storage.trajectory`` kernel
-    whenever every per-round quantity is known up front, and falls back to
-    the stepwise loop (same storage step primitives) otherwise.  Both paths
-    must produce byte-identical ``SampleLog`` output — the same contract the
-    prefill flag has always carried, extended to the integration core.
-    """
+    """The array-based integration core against the scalar oracle."""
 
     def test_kernel_path_is_actually_taken(self, node, database, scavenger, monkeypatch):
         import repro.core.emulator as emulator_module
@@ -192,71 +208,35 @@ class TestArrayCoreByteIdentity:
 
         monkeypatch.setattr(emulator_module, "trajectory", counting)
         _thermal_emulator(node, database, scavenger).emulate(_hour_cycle())
-        assert calls, "a fully prefilled cycle should integrate through the kernel"
+        assert calls, "emulate() should integrate through the kernel"
 
-    def test_forced_stepwise_loop_is_byte_identical(
-        self, node, database, scavenger, monkeypatch
-    ):
-        """Marking every round unresolved forces the stepwise reference loop."""
-        cycle = _hour_cycle()
-        kernel = _thermal_emulator(node, database, scavenger).emulate(cycle)
+    def test_forced_stepwise_loop_is_byte_identical(self, node, database, scavenger):
+        """A brown-out-heavy run: restart hysteresis and failed withdrawals."""
+        emulator = _thermal_emulator(
+            node, database, scavenger, supercapacitor(capacity_j=0.01, initial_fraction=0.3)
+        )
+        expected, _storage = oracle(emulator, _hour_cycle())
+        assert expected.brownout_events > 0
+        _assert_byte_identical(emulator.emulate(_hour_cycle()), expected)
 
-        original = NodeEmulator._resolve_round_energies
-
-        def unresolved(self, units, is_round, temps):
-            energies, phase_lists, resolved = original(self, units, is_round, temps)
-            resolved[:] = False
-            return energies, [None] * len(phase_lists), resolved
-
-        monkeypatch.setattr(NodeEmulator, "_resolve_round_energies", unresolved)
-        stepwise = _thermal_emulator(node, database, scavenger).emulate(cycle)
-        ours, theirs = kernel.sample_arrays(), stepwise.sample_arrays()
-        for key in ours:
-            assert ours[key].tobytes() == theirs[key].tobytes(), key
-        assert kernel == stepwise
-
-    def test_stepwise_trace_matches_kernel_trace(
-        self, node, database, scavenger, monkeypatch
-    ):
+    def test_stepwise_trace_matches_kernel_trace(self, node, database, scavenger):
         cycle = urban_cycle(repetitions=1)
         window = (20.0, 24.0)
-        kernel = _thermal_emulator(node, database, scavenger).emulate(
-            cycle, trace_window=window
+        emulator = _thermal_emulator(
+            node, database, scavenger, supercapacitor(capacity_j=0.002, initial_fraction=0.3)
         )
-        original = NodeEmulator._resolve_round_energies
+        expected, _storage = oracle(emulator, cycle, trace_window=window)
+        result = emulator.emulate(cycle, trace_window=window)
+        assert result.trace == expected.trace
 
-        def unresolved(self, units, is_round, temps):
-            energies, phase_lists, resolved = original(self, units, is_round, temps)
-            resolved[:] = False
-            return energies, [None] * len(phase_lists), resolved
-
-        monkeypatch.setattr(NodeEmulator, "_resolve_round_energies", unresolved)
-        stepwise = _thermal_emulator(node, database, scavenger).emulate(
-            cycle, trace_window=window
-        )
-        assert kernel.trace == stepwise.trace
-
-    def test_storage_holds_the_final_charge(
-        self, node, database, scavenger, monkeypatch
-    ):
-        """Both integration paths leave the element at the same final charge."""
+    def test_storage_holds_the_final_charge(self, node, database, scavenger):
+        """emulate() leaves the element where the scalar replay leaves it."""
         cycle = _hour_cycle()
-        kernel_emulator = _thermal_emulator(node, database, scavenger)
-        kernel_emulator.emulate(cycle)
-        kernel_charge = kernel_emulator.storage.charge_j
-        assert 0.0 <= kernel_charge <= kernel_emulator.storage.capacity_j
-
-        original = NodeEmulator._resolve_round_energies
-
-        def unresolved(self, units, is_round, temps):
-            energies, phase_lists, resolved = original(self, units, is_round, temps)
-            resolved[:] = False
-            return energies, [None] * len(phase_lists), resolved
-
-        monkeypatch.setattr(NodeEmulator, "_resolve_round_energies", unresolved)
-        stepwise_emulator = _thermal_emulator(node, database, scavenger)
-        stepwise_emulator.emulate(cycle)
-        assert stepwise_emulator.storage.charge_j == kernel_charge
+        emulator = _thermal_emulator(node, database, scavenger)
+        emulator.emulate(cycle)
+        _expected, storage = oracle(emulator, cycle)
+        assert 0.0 <= emulator.storage.charge_j <= emulator.storage.capacity_j
+        assert emulator.storage.charge_j == storage.charge_j
 
     def test_harvest_rides_the_vectorized_sweep(
         self, node, database, scavenger, monkeypatch
@@ -297,13 +277,12 @@ class TestEnergyCacheCap:
 
         monkeypatch.setattr(emulator_module, "_MAX_ENERGY_CACHE_ENTRIES", 8)
         emulator = _thermal_emulator(node, database, scavenger)
-        result = emulator.emulate(_hour_cycle(), prefill=False)
+        result = emulator.emulate(_hour_cycle())
         assert result.revolutions > 0
         assert len(emulator._energy_cache) <= 8
-        fresh = _thermal_emulator(node, database, scavenger).emulate(
-            _hour_cycle(), prefill=False
-        )
+        fresh = _thermal_emulator(node, database, scavenger).emulate(_hour_cycle())
         assert result == fresh
+        assert emulator.emulate(_hour_cycle()) == result
 
     def test_cap_applies_to_prefill_inserts(
         self, node, database, scavenger, monkeypatch
@@ -312,7 +291,9 @@ class TestEnergyCacheCap:
 
         monkeypatch.setattr(emulator_module, "_MAX_ENERGY_CACHE_ENTRIES", 8)
         emulator = _thermal_emulator(node, database, scavenger)
-        emulator._prefill_energy_cache(_hour_cycle(), idle_step_s=1.0)
+        table = emulator.materialize_cycle(_hour_cycle())
+        _keys, entries, _demand = emulator.resolve(table, table.temps)
+        assert len(entries) > 8
         assert len(emulator._energy_cache) <= 8
 
     def test_capped_run_matches_uncapped_run(

@@ -7,21 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.conditions.operating_point import TEMPERATURE_RANGE_C
-from repro.core import emulator as emulator_module
 from repro.core import quantize
 from repro.core.emulator import NodeEmulator
 from repro.vehicle.drive_cycle import urban_cycle
 
 
 class TestQuantize:
-    def test_emulator_rides_the_shared_constants(self):
-        # The compatibility aliases must BE the shared constants: a drifted
-        # copy would silently desynchronize fleet bin sharing from the cache.
-        assert emulator_module._SPEED_QUANTUM_KMH is quantize.SPEED_QUANTUM_KMH
-        assert (
-            emulator_module._TEMPERATURE_QUANTUM_C is quantize.TEMPERATURE_QUANTUM_C
-        )
-
     def test_bin_round_trips(self):
         for speed in (0.2, 0.25, 17.3, 249.99):
             bin_index = quantize.speed_bin(speed)
@@ -99,7 +90,9 @@ class TestEmulatorBinSharing:
         """evaluate_energy_bins + seed_energy_cache == what a cold run caches."""
         donor, receiver = emulators
         cycle = urban_cycle(repetitions=1)
-        pending = donor._pending_energy_bins(cycle, idle_step_s=1.0)
+        table = donor.materialize_cycle(cycle)
+        pending: dict = {}
+        donor.collect_bins(table, donor.round_keys(table, table.temps), {}, pending, {})
         assert pending
         entries = donor.evaluate_energy_bins(pending)
         accepted = receiver.seed_energy_cache(entries)

@@ -58,7 +58,7 @@ class TestSharing:
     def test_cohorts_far_fewer_than_vehicles(self, sequential_result):
         metadata = sequential_result.metadata
         assert 1 <= metadata["cohorts"] < metadata["vehicles"]
-        assert metadata["fallback_cohorts"] == 0
+        assert metadata["fast_path_vehicles"] == metadata["vehicles"]
 
     def test_bins_swept_once_cover_the_population(self, sequential_result):
         assert sequential_result.metadata["shared_energy_bins"] > 0
@@ -233,3 +233,80 @@ class TestCycleMixAndTolerances:
             assert storage.restart_level_j / reference.restart_level_j == pytest.approx(
                 vehicle.storage_scale
             )
+
+
+class TestScheduleStraddlingCohorts:
+    """Cohorts whose scaled cycle crosses the node's feasibility limit."""
+
+    LIMIT_KMH = 100.0
+
+    @pytest.fixture
+    def limited_node(self, monkeypatch):
+        from repro.blocks.node import SensorNode
+        from repro.errors import ScheduleError
+
+        original = SensorNode.schedule_for_pattern
+        limit = self.LIMIT_KMH
+
+        def limited(self, speed_kmh, *args, **kwargs):
+            if speed_kmh >= limit:
+                raise ScheduleError(f"limited test node: {speed_kmh!r} km/h")
+            return original(self, speed_kmh, *args, **kwargs)
+
+        monkeypatch.setattr(SensorNode, "schedule_for_pattern", limited)
+
+    @staticmethod
+    def _fleet() -> FleetSpec:
+        # A small scavenger and a nearly empty store: some vehicles are
+        # browned out while their cycle crosses the limit (and complete),
+        # others are live there (and fail).
+        base = ScenarioSpec(
+            name="straddle",
+            scavenger_size=0.1,
+            storage={"name": "supercapacitor", "params": {"initial_fraction": 0.02}},
+            drive_cycle={
+                "name": "ramp",
+                "params": {
+                    "start_kmh": 80.0,
+                    "end_kmh": 97.0,
+                    "ramp_duration_s": 60.0,
+                    "hold_duration_s": 20.0,
+                },
+            },
+        )
+        return FleetSpec.from_base(base, vehicles=8, seed=4)
+
+    def test_rows_and_errors_match_per_vehicle_emulate(self, limited_node):
+        from repro.errors import ReproError
+
+        fleet = self._fleet()
+        result = FleetRunner(fleet, retries=1, retry_backoff_s=0.0).run()
+        rows = {row["vehicle"]: row for row in result.vehicle_rows}
+        failures = {failure["index"]: failure for failure in result.metadata["failures"]}
+        assert rows and failures, "the fleet must have both completing and failing vehicles"
+        crossing = [
+            v for v in fleet.materialize() if 97.0 * v.speed_scale >= self.LIMIT_KMH
+        ]
+        assert any(v.index in rows for v in crossing), "no completing vehicle crosses"
+        for vehicle in fleet.materialize():
+            spec = vehicle.scenario
+            emulator = NodeEmulator(
+                spec.build_node(),
+                spec.build_database(),
+                spec.build_scavenger(),
+                scaled_storage(spec.build_storage(), vehicle.storage_scale),
+                base_point=spec.operating_point(),
+            )
+            cycle = spec.build_drive_cycle().scaled(vehicle.speed_scale)
+            try:
+                summary = emulator.emulate(cycle).summary()
+            except ReproError as error:
+                assert vehicle.index not in rows
+                assert failures[vehicle.index]["error"] == (
+                    f"{type(error).__name__}: {error}"
+                )
+                continue
+            assert vehicle.index not in failures
+            row = rows[vehicle.index]
+            for key, value in summary.items():
+                assert row[key] == value, (vehicle.index, key)

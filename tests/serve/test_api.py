@@ -92,14 +92,14 @@ class TestEndpoints:
         assert client.health()["store"]["hits"] >= 1
 
     def test_fleet_round_trip_with_structured_failures(self, client, monkeypatch):
-        real = fleet_runner._cohort_vehicle_outcome
+        real = fleet_runner._vehicle_outcome
 
         def flaky(vehicle_index, *args, **kwargs):
             if vehicle_index == 3:
                 raise EmulationError("injected fault on vehicle 3")
             return real(vehicle_index, *args, **kwargs)
 
-        monkeypatch.setattr(fleet_runner, "_cohort_vehicle_outcome", flaky)
+        monkeypatch.setattr(fleet_runner, "_vehicle_outcome", flaky)
         job = client.submit_fleet({**FLEET_DOC, "retries": 1})
         final = client.wait(job["id"])
         assert final["partial"]

@@ -232,14 +232,14 @@ class TestVersionsAndLongPoll:
 
 class TestStructuredFailures:
     def test_fleet_failures_surface_as_engine_records(self, manager, monkeypatch):
-        real = fleet_runner._cohort_vehicle_outcome
+        real = fleet_runner._vehicle_outcome
 
         def flaky(vehicle_index, *args, **kwargs):
             if vehicle_index == 2:
                 raise EmulationError("injected fault on vehicle 2")
             return real(vehicle_index, *args, **kwargs)
 
-        monkeypatch.setattr(fleet_runner, "_cohort_vehicle_outcome", flaky)
+        monkeypatch.setattr(fleet_runner, "_vehicle_outcome", flaky)
         job = manager.submit_fleet({**FLEET_DOC, "retries": 1})
         document = _wait(job)
         assert document["state"] == "done" and document["partial"]
@@ -254,14 +254,14 @@ class TestStructuredFailures:
         assert document["progress"]["failures"] == 1
 
     def test_partial_results_are_not_stored(self, manager, monkeypatch):
-        real = fleet_runner._cohort_vehicle_outcome
+        real = fleet_runner._vehicle_outcome
 
         def flaky(vehicle_index, *args, **kwargs):
             if vehicle_index in (1, 4):
                 raise EmulationError("injected fault")
             return real(vehicle_index, *args, **kwargs)
 
-        monkeypatch.setattr(fleet_runner, "_cohort_vehicle_outcome", flaky)
+        monkeypatch.setattr(fleet_runner, "_vehicle_outcome", flaky)
         job = manager.submit_fleet({**FLEET_DOC, "retries": 1})
         document = _wait(job)
         assert document["partial"]
