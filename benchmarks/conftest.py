@@ -14,10 +14,10 @@ ran, so the perf trajectory can be tracked across commits from CI artifacts
 without parsing pytest output.
 
 Every JSON artifact is stamped with the python/numpy versions, the platform
-and the CPU count (plus worker/backend counts where the benchmark runs a
-pool) — without the stamp, a wall-time trajectory across PRs is
-uninterpretable once the interpreter, numpy build or runner hardware moves
-underneath it.
+and the CPU count (plus the worker count and pool backend where the
+benchmark runs a pool) — without the stamp, a wall-time trajectory across
+PRs is uninterpretable once the interpreter, numpy build or runner hardware
+moves underneath it.
 """
 
 from __future__ import annotations

@@ -55,14 +55,12 @@ import argparse
 import inspect
 import json
 import math
-import os
 import sys
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from repro.backend import ARRAY_BACKEND_ENV, ARRAY_BACKENDS, resolve_backend
 from repro.conditions.operating_point import OperatingPoint
 from repro.core.balance import EnergyBalanceAnalysis
 from repro.core.emulator import NodeEmulator
@@ -181,16 +179,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tpms-energy",
         description="Energy analysis tools for self-powered tyre monitoring systems",
-    )
-    parser.add_argument(
-        "--array-backend",
-        default=None,
-        metavar="NAME",
-        help=(
-            "array backend for the hot kernels "
-            f"(one of: {', '.join(ARRAY_BACKENDS.names())}); "
-            f"overrides the {ARRAY_BACKEND_ENV} environment variable"
-        ),
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
@@ -952,12 +940,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.array_backend is not None:
-            # Validate eagerly (unknown names fail with a one-line error
-            # before any work starts), then publish through the environment
-            # so process-pool workers inherit the same selection.
-            resolve_backend(args.array_backend)
-            os.environ[ARRAY_BACKEND_ENV] = args.array_backend
         return _COMMANDS[args.command](args)
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)

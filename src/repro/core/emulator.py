@@ -464,7 +464,6 @@ def integrate(
     temps,
     scavenger: EnergyScavenger,
     storage: StorageElement,
-    backend=None,
 ) -> tuple[np.ndarray, StorageTrajectory]:
     """Harvest and ledger of one run: ``(per-unit harvest, trajectory)``.
 
@@ -486,7 +485,6 @@ def integrate(
         demand.load,
         table.durations,
         initially_active=not storage.is_depleted,
-        backend=backend,
     )
     demand.raise_first_error(traj.attempted, temps)
     return harvest, traj
@@ -1032,14 +1030,7 @@ class NodeEmulator:
             cycle, idle_step_s, self.thermal_model, record_interval_s
         )
         keys, entries, demand = self.resolve(table, table.temps)
-        harvest, traj = integrate(
-            table,
-            demand,
-            table.temps,
-            self.scavenger,
-            self.storage,
-            backend=self.evaluator.backend,
-        )
+        harvest, traj = integrate(table, demand, table.temps, self.scavenger, self.storage)
         # The mutating element is the scalar reference, not the integrator:
         # leave it holding the trajectory's final charge.
         self.storage._charge_j = traj.final_charge_j

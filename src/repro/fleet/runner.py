@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backend import resolve_backend
 from repro.core.emulator import (
     CycleTable,
     Demand,
@@ -220,7 +219,6 @@ def _vehicle_outcome(
     demand: Demand,
     temperatures,
     buckets: int,
-    array_backend=None,
 ) -> dict[str, object]:
     """One vehicle over its cohort's shared table and demand.
 
@@ -229,9 +227,7 @@ def _vehicle_outcome(
     the row (or the raised error) is that of a per-vehicle ``emulate()``.
     """
     storage = scaled_storage(spec.build_storage(), storage_scale)
-    harvest, traj = integrate(
-        table, demand, temperatures, spec.build_scavenger(), storage, array_backend
-    )
+    harvest, traj = integrate(table, demand, temperatures, spec.build_scavenger(), storage)
     result = summarize(node_name, table, harvest, traj)
     sample_active = traj.active[table.sample_units]
     survival = _survival_from_samples(
@@ -261,16 +257,16 @@ def _vehicle_outcome(
 _SHARED_TABLES: dict[str, CycleTable] = {}
 _SHARED_DEMANDS: dict = {}
 
-#: Per-worker-process component memo, keyed by (group key, array backend).
-_WORKER_COMPONENTS: dict[tuple[str, str], tuple] = {}
+#: Per-worker-process component memo, keyed by group key.
+_WORKER_COMPONENTS: dict[str, tuple] = {}
 
 
-def _worker_components(spec: ScenarioSpec, array_backend: str):
+def _worker_components(spec: ScenarioSpec):
     """The (node, database, evaluator) triple of one worker-side vehicle."""
-    key = (_group_key(spec), array_backend)
+    key = _group_key(spec)
     cached = _WORKER_COMPONENTS.get(key)
     if cached is None:
-        cached = spec.build_components(backend=array_backend)
+        cached = spec.build_components()
         _WORKER_COMPONENTS[key] = cached
     return cached
 
@@ -287,14 +283,13 @@ def _process_vehicle(payload) -> dict[str, object]:
         buckets,
         record_interval_s,
         idle_step_s,
-        array_backend,
         thermal_document,
     ) = payload
     spec = ScenarioSpec.from_dict(document)
     thermal = (
         ThermalSpec.coerce(thermal_document) if thermal_document is not None else None
     )
-    components = _worker_components(spec, array_backend)
+    components = _worker_components(spec)
     table = _SHARED_TABLES.get(cohort_key)
     demand = _SHARED_DEMANDS.get(demand_key)
     if table is None or demand is None:  # pragma: no cover - platform without fork
@@ -314,7 +309,6 @@ def _process_vehicle(payload) -> dict[str, object]:
         demand,
         _temperatures(table, spec, thermal),
         buckets,
-        array_backend=components[2].backend,
     )
 
 
@@ -354,14 +348,6 @@ class FleetRunner:
             ``get(key, builder)`` (the serving layer's bounded LRU); groups
             then reuse evaluators/compiled tables across runs, observable
             through ``evaluator_builds``/``evaluator_cache_hits``.
-        array_backend: array-backend selection for the hot kernels (a name,
-            an :class:`~repro.backend.base.ArrayBackend`, or ``None`` for
-            argument > ``REPRO_ARRAY_BACKEND`` > numpy).  An execution
-            policy only: it never enters the fleet digest or
-            :meth:`checkpoint_key`, and the default numpy backend is
-            bit-identical to the pre-seam runner.  Callers sharing one
-            ``evaluator_cache`` across runs should use one backend per
-            process — the cache key is (rightly) backend-free.
     """
 
     def __init__(
@@ -380,7 +366,6 @@ class FleetRunner:
         progress=None,
         should_stop=None,
         evaluator_cache=None,
-        array_backend=None,
     ) -> None:
         if not isinstance(fleet, FleetSpec):
             raise ConfigError(f"a fleet runner needs a FleetSpec, got {type(fleet).__name__}")
@@ -404,7 +389,6 @@ class FleetRunner:
         self.idle_step_s = idle_step_s
         self.checkpoint = checkpoint
         self.max_chunks = max_chunks
-        self.array_backend = resolve_backend(array_backend)
         self.progress = progress
         self.should_stop = should_stop
         self._evaluator_cache = evaluator_cache
@@ -427,12 +411,12 @@ class FleetRunner:
         """One group's (node, database, evaluator) — via the shared LRU if given."""
         if self._evaluator_cache is None:
             self.evaluator_builds += 1
-            return spec.build_components(backend=self.array_backend)
+            return spec.build_components()
         built: list[bool] = []
 
         def builder():
             built.append(True)
-            return spec.build_components(backend=self.array_backend)
+            return spec.build_components()
 
         components = self._evaluator_cache.get(spec.evaluator_group_key(), builder)
         if built:
@@ -556,7 +540,6 @@ class FleetRunner:
                 demands[_demand_key(ckey, spec, thermal)],
                 _temperatures(table, spec, thermal),
                 buckets,
-                array_backend=self.array_backend,
             )
 
         def payload(vehicle: FleetVehicle):
@@ -571,7 +554,6 @@ class FleetRunner:
                 buckets,
                 self.record_interval_s,
                 self.idle_step_s,
-                self.array_backend.name,
                 thermal_document,
             )
 
@@ -635,7 +617,6 @@ class FleetRunner:
             "survival_buckets": buckets,
             "workers": self.workers or 1,
             "backend": self.backend,
-            "array_backend": self.array_backend.name,
             "engine_backend": report.backend,
             "wall_time_s": report.wall_time_s,
             "vehicle_wall_times_s": report.item_wall_times_s,

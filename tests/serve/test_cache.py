@@ -8,7 +8,7 @@ import time
 import pytest
 
 from repro.errors import ConfigError
-from repro.serve import EvaluatorLRU
+from repro.serve import EvaluatorLRU, JobManager
 
 
 class TestValidation:
@@ -106,6 +106,15 @@ class TestBuildTiming:
             cache.get("b", boom)
         # Only successful builds count toward the wall-time signal.
         assert cache.stats()["build_wall_time_s"] == baseline
+
+    def test_fresh_job_manager_reports_zero_build_time(self):
+        manager = JobManager(evaluator_capacity=2)
+        try:
+            cache = manager.stats()["evaluator_cache"]
+        finally:
+            manager.shutdown()
+        assert cache["build_wall_time_s"] == 0.0
+        assert cache["last_build_wall_time_s"] == 0.0
 
 
 class TestSingleFlight:

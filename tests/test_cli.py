@@ -285,23 +285,33 @@ class TestRunCommand:
         with pytest.raises(SystemExit):
             main(["run", "--scenario", scenario_path, "--backend", "rocket"])
 
-    def test_montecarlo_runs_are_reproducible(self, capsys, scenario_path):
-        arguments = [
-            "run",
-            "--scenario",
-            scenario_path,
-            "--kind",
-            "montecarlo",
-            "--mc-samples",
-            "32",
-            "--mc-seed",
-            "5",
-        ]
-        assert main(arguments) == 0
-        first = capsys.readouterr().out
-        assert main(arguments) == 0
-        second = capsys.readouterr().out
-        assert first == second
+    def test_montecarlo_runs_are_reproducible(self, capsys, scenario_path, tmp_path):
+        tables, exports = [], []
+        for run in ("first", "second"):
+            export = tmp_path / f"{run}.csv"
+            arguments = [
+                "run",
+                "--scenario",
+                scenario_path,
+                "--kind",
+                "montecarlo",
+                "--mc-samples",
+                "32",
+                "--mc-seed",
+                "5",
+                "--export",
+                str(export),
+            ]
+            assert main(arguments) == 0
+            # The table ends at the blank line before the timing line, which
+            # prints wall time and so differs between runs.
+            table = capsys.readouterr().out.split("\n\n", 1)[0]
+            assert "evaluator build(s)" not in table
+            tables.append(table)
+            exports.append(export.read_bytes())
+        assert "cli-test" in tables[0]
+        assert tables[0] == tables[1]
+        assert exports[0] == exports[1]
 
 
 class TestErrorPaths:
