@@ -94,7 +94,7 @@ def test_checkpoint_overhead_is_bounded():
         ],
         title="Checkpoint journaling: plain vs journaled vs full replay",
         workers=1,
-        backend="thread",
+        backend="sequential",
     )
     emit_timing(
         "checkpoint_overhead",
@@ -112,7 +112,7 @@ def test_checkpoint_overhead_is_bounded():
             "journal_kib": journal_bytes / 1024.0,
         },
         workers=1,
-        backend="thread",
+        backend="sequential",
     )
 
     # The three paths must agree before their costs mean anything.
@@ -123,7 +123,7 @@ def test_checkpoint_overhead_is_bounded():
     )
     assert digest(journaled) == digest(plain)
     assert digest(replayed) == digest(plain)
-    assert replayed.metadata["engine_backend"] == "resumed"
+    assert replayed.metadata["backend"] == "resumed"
 
     assert overhead <= OVERHEAD_CEILING, (
         f"checkpoint journaling costs {100.0 * overhead:.1f}% "

@@ -17,7 +17,7 @@ centers, Gaussian tolerances) and *asserts*:
   warm-up;
 * bitwise-identical per-vehicle figures against the naive thermal loop
   (fresh emulator + fresh thermal model per vehicle) AND against that
-  per-vehicle loop, across worker counts and backends.
+  per-vehicle loop, across worker counts.
 """
 
 from __future__ import annotations
@@ -169,7 +169,7 @@ def test_thermal_fast_path_beats_per_vehicle_loop():
         ],
         title="Thermal fleet: cohort fast path vs per-vehicle thermal emulate",
         workers=1,
-        backend="thread",
+        backend="sequential",
     )
     emit_timing(
         "fleet_thermal",
@@ -192,7 +192,7 @@ def test_thermal_fast_path_beats_per_vehicle_loop():
             "required_speedup": REQUIRED_SPEEDUP,
         },
         workers=1,
-        backend="thread",
+        backend="sequential",
     )
 
     # Correctness before speed: fast path == naive thermal emulate(), bit
@@ -206,9 +206,8 @@ def test_thermal_fast_path_beats_per_vehicle_loop():
             )
     assert per_vehicle_summaries == naive_summaries
 
-    threaded = FleetRunner(fleet, workers=2, backend="thread").run()
-    assert threaded.vehicle_rows == result.vehicle_rows
-    processed = FleetRunner(fleet, workers=2, backend="process").run()
+    processed = FleetRunner(fleet, workers=2).run()
+    assert processed.metadata["backend"] == "process"
     assert processed.vehicle_rows == result.vehicle_rows
 
     assert speedup_vs_per_vehicle >= REQUIRED_SPEEDUP, (

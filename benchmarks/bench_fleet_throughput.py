@@ -99,7 +99,7 @@ def test_fleet_beats_naive_per_vehicle_loop():
         ],
         title="Fleet emulation: bin-shared runner vs naive per-vehicle loop",
         workers=1,
-        backend="thread",
+        backend="sequential",
     )
     emit_timing(
         "fleet_throughput",
@@ -113,7 +113,7 @@ def test_fleet_beats_naive_per_vehicle_loop():
             "required_speedup": REQUIRED_SPEEDUP,
         },
         workers=1,
-        backend="thread",
+        backend="sequential",
     )
 
     # Correctness before speed: the fleet rows must be the naive rows, bit

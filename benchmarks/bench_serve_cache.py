@@ -88,7 +88,7 @@ def test_warm_store_hit_beats_cold_run():
         ],
         title="Serving layer: warm store-hit request vs cold run",
         workers=1,
-        backend="thread",
+        backend="sequential",
     )
     emit_timing(
         "serve_cache",
@@ -101,7 +101,7 @@ def test_warm_store_hit_beats_cold_run():
             "required_speedup": REQUIRED_SPEEDUP,
         },
         workers=1,
-        backend="thread",
+        backend="sequential",
     )
 
     assert speedup >= REQUIRED_SPEEDUP, (

@@ -45,7 +45,7 @@ def main() -> None:
         },
         montecarlo=config,
     )
-    # workers=4 runs grid points on a thread pool; rows are identical (order
+    # workers=4 runs grid points on a process pool; rows are identical (order
     # and values) to a sequential run because every random stream is derived
     # from (seed, scenario), never from execution order.
     result = study.run("montecarlo", workers=4)

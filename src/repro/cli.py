@@ -13,7 +13,7 @@ a shell (or a Makefile) without writing Python::
         --kind montecarlo --mc-samples 2000 --workers 4    # Monte-Carlo sweep
     tpms-energy run --scenario exp.json \\
         --set temperature=-20,25,85 --kind emulate \\
-        --workers 4 --backend process                      # process-pool study
+        --workers 4                                        # process-pool study
     tpms-energy fleet --scenario exp.json \\
         --vehicles 500 --seed 42 --workers 4               # population simulation
     tpms-energy fleet --fleet winter.json --export agg.csv # explicit fleet doc
@@ -214,15 +214,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="run the study grid on N workers (rows stay in "
-        "sequential order with identical values)",
-    )
-    run.add_argument(
-        "--backend",
-        choices=("thread", "process"),
-        default=None,
-        help="worker pool backend for --workers: 'thread' (default; shared "
-        "evaluator cache) or 'process' (CPU-bound kinds like optimize/emulate)",
+        help="run the study grid on a pool of N worker processes (rows stay "
+        "in sequential order with identical values)",
     )
     run.add_argument(
         "--mc-samples",
@@ -266,13 +259,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="run the vehicles on N workers (aggregates are identical for any N)",
-    )
-    fleet.add_argument(
-        "--backend",
-        choices=("thread", "process"),
-        default=None,
-        help="worker pool backend for --workers (same semantics as 'run')",
+        help="run the vehicles on a pool of N worker processes "
+        "(aggregates are identical for any N)",
     )
     fleet.add_argument(
         "--export",
@@ -376,12 +364,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="default engine pool width for requests that omit 'workers'",
-    )
-    serve.add_argument(
-        "--backend",
-        choices=("thread", "process"),
-        default="thread",
-        help="default engine backend for requests that omit 'backend'",
     )
     serve.add_argument(
         "--job-workers",
@@ -522,11 +504,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         raise ConfigError("--mc-samples/--mc-seed require --kind montecarlo")
     if axes or args.kind is not None:
         kind = args.kind or "balance"
-        if args.backend == "process" and (args.workers is None or args.workers <= 1):
-            raise ConfigError(
-                "--backend process needs --workers greater than 1 "
-                "(a single worker runs sequentially in this process)"
-            )
         montecarlo = None
         if montecarlo_given:
             defaults = MonteCarloConfig()
@@ -535,9 +512,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 seed=args.mc_seed if args.mc_seed is not None else defaults.seed,
             )
         study = Study(spec, axes=axes, montecarlo=montecarlo)
-        result: StudyResult = study.run(
-            kind, workers=args.workers, backend=args.backend or "thread"
-        )
+        result: StudyResult = study.run(kind, workers=args.workers)
         print(
             result.as_table(
                 title=f"Study — {spec.name} ({kind}), {len(result)} scenario(s)"
@@ -555,8 +530,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return 0
     if args.workers is not None:
         raise ConfigError("--workers requires study mode (--set and/or --kind)")
-    if args.backend is not None:
-        raise ConfigError("--backend requires study mode (--set and/or --kind)")
 
     flow = EnergyAnalysisFlow.from_spec(spec)
     print(flow.node.describe())
@@ -593,11 +566,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         _validate_export_path(path)
     if (args.fleet_path is None) == (args.scenario is None):
         raise ConfigError("give exactly one of --fleet or --scenario")
-    if args.backend == "process" and (args.workers is None or args.workers <= 1):
-        raise ConfigError(
-            "--backend process needs --workers greater than 1 "
-            "(a single worker runs sequentially in this process)"
-        )
     if args.kpi_floors and args.package is None:
         raise ConfigError("--kpi-floor requires --package")
     floors = _parse_kpi_floors(args.kpi_floors)
@@ -612,7 +580,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     runner = FleetRunner(
         fleet,
         workers=args.workers,
-        backend=args.backend or "thread",
         checkpoint=args.checkpoint,
         max_chunks=args.max_chunks,
         retries=args.retries,
@@ -749,7 +716,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         evaluator_cache=EvaluatorLRU(capacity=args.cache_size),
         store=ResultStore(args.store_dir, budget=budget),
         workers=args.workers,
-        backend=args.backend,
         job_workers=args.job_workers,
         checkpoint_root=args.checkpoint_dir,
     )

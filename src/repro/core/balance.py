@@ -222,7 +222,6 @@ class EnergyBalanceAnalysis:
         self,
         speeds_kmh: Sequence[float] | np.ndarray,
         point_factory: Callable[[float], OperatingPoint] | None = None,
-        use_batch: bool = True,
     ) -> EnergyBalanceCurve:
         """Sample the two Fig. 2 curves over ``speeds_kmh``.
 
@@ -232,9 +231,10 @@ class EnergyBalanceAnalysis:
                 to the nominal working condition at that speed.  Passing a
                 factory is how the condition-sweep bench evaluates the curve
                 hot, cold or at a different supply.
-            use_batch: evaluate the node requirement through the vectorized
-                compiled-table path (the default); ``False`` keeps the scalar
-                reference path, used by the equivalence tests.
+
+        Both curves evaluate as one batch each — the requirement through the
+        compiled power table, the harvest through the scavenger sweep — and
+        equal :meth:`balance_at` point by point (the scalar reference).
         """
         if point_factory is None:
             point_factory = _nominal_point_at
@@ -248,25 +248,20 @@ class EnergyBalanceAnalysis:
             if speed <= 0.0:
                 raise AnalysisError("balance-curve speeds must be positive")
             operating_points.append(point_factory(speed))
-        if use_batch:
-            # Mirror balance_at exactly: the factory's point defines the
-            # speed, including factories that remap the sweep speed.  Both
-            # curves evaluate as one batch each — the requirement through the
-            # compiled power table, the harvest through the scavenger sweep.
-            required = self.required_energy_sweep(operating_points)
-            generated = self.generated_energy_sweep(
-                np.array([point.speed_kmh for point in operating_points])
+        # Mirror balance_at exactly: the factory's point defines the speed,
+        # including factories that remap the sweep speed.
+        required = self.required_energy_sweep(operating_points)
+        generated = self.generated_energy_sweep(
+            np.array([point.speed_kmh for point in operating_points])
+        )
+        points = [
+            BalancePoint(
+                speed_kmh=point.speed_kmh,
+                required_j=float(required[i]),
+                generated_j=float(generated[i]),
             )
-            points = [
-                BalancePoint(
-                    speed_kmh=point.speed_kmh,
-                    required_j=float(required[i]),
-                    generated_j=float(generated[i]),
-                )
-                for i, point in enumerate(operating_points)
-            ]
-        else:
-            points = [self.balance_at(point) for point in operating_points]
+            for i, point in enumerate(operating_points)
+        ]
         return EnergyBalanceCurve(
             node_name=self.node.name,
             scavenger_label=self.scavenger.describe(),
@@ -294,15 +289,12 @@ class EnergyBalanceAnalysis:
         high_kmh: float = 200.0,
         tolerance_kmh: float = 0.1,
         point_factory: Callable[[float], OperatingPoint] | None = None,
-        use_batch: bool = True,
     ) -> float | None:
         """Break-even (minimum activation) speed.
 
-        The default path brackets the crossing on progressively finer speed
-        grids, evaluating each refinement level as one vectorized batch; the
-        scalar reference path (``use_batch=False``) bisects one speed at a
-        time.  Both return the midpoint of a bracketing interval no wider
-        than ``tolerance_kmh``.
+        Brackets the crossing on progressively finer speed grids, evaluating
+        each refinement level as one vectorized batch, and returns the
+        midpoint of a bracketing interval no wider than ``tolerance_kmh``.
 
         Returns ``None`` when the node never reaches a positive balance below
         ``high_kmh`` and ``low_kmh`` when it is already positive there.
@@ -312,27 +304,9 @@ class EnergyBalanceAnalysis:
         if low_kmh <= 0.0 or high_kmh <= low_kmh:
             raise AnalysisError("invalid bisection bounds")
 
-        def margin(speed: float) -> float:
-            balance = self.balance_at(point_factory(speed))
-            return balance.margin_j
-
-        if not use_batch:
-            if margin(low_kmh) >= 0.0:
-                return low_kmh
-            if margin(high_kmh) < 0.0:
-                return None
-            low, high = low_kmh, high_kmh
-            while high - low > tolerance_kmh:
-                middle = 0.5 * (low + high)
-                if margin(middle) >= 0.0:
-                    high = middle
-                else:
-                    low = middle
-            return 0.5 * (low + high)
-
-        # Evaluate the endpoints in the scalar path's order: a node already
-        # in surplus at low_kmh must return before high_kmh is ever touched
-        # (its schedule may be infeasible at the search ceiling).
+        # Evaluate the endpoints in order: a node already in surplus at
+        # low_kmh must return before high_kmh is ever touched (its schedule
+        # may be infeasible at the search ceiling).
         low_margin = float(self.margins_sweep([low_kmh], point_factory=point_factory)[0])
         if low_margin >= 0.0:
             return low_kmh

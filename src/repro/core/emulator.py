@@ -70,129 +70,55 @@ from repro.vehicle.drive_cycle import DriveCycle
 _MAX_ENERGY_CACHE_ENTRIES = 65536
 
 
-@dataclass(frozen=True)
-class EmulationSample:
-    """One recorded sample of the emulation state."""
-
-    time_s: float
-    speed_kmh: float
-    temperature_c: float
-    state_of_charge: float
-    node_active: bool
-
-
 class SampleLog:
-    """Columnar, preallocated record buffer for the emulation state log.
+    """Columnar record of the emulation state log.
 
-    Hour-long emulations record tens of thousands of samples; appending one
-    frozen dataclass per sample and re-listing all of them for every
-    ``sample_arrays()`` call dominated the logging cost.  The log keeps one
-    preallocated numpy column per field (grown by doubling) so appends are
-    amortized O(1) scalar stores and :meth:`arrays` returns views, not
+    One numpy column per field, filled in one go from whole parallel
+    columns (:meth:`from_columns`); :meth:`arrays` returns views, not
     copies.
     """
 
-    __slots__ = ("_time", "_speed", "_temperature", "_soc", "_active", "_size")
+    __slots__ = ("_time", "_speed", "_temperature", "_soc", "_active")
 
-    def __init__(self, capacity: int = 1024) -> None:
-        capacity = max(1, int(capacity))
-        self._time = np.empty(capacity)
-        self._speed = np.empty(capacity)
-        self._temperature = np.empty(capacity)
-        self._soc = np.empty(capacity)
-        self._active = np.zeros(capacity, dtype=bool)
-        self._size = 0
+    def __init__(self) -> None:
+        self._time = np.empty(0)
+        self._speed = np.empty(0)
+        self._temperature = np.empty(0)
+        self._soc = np.empty(0)
+        self._active = np.zeros(0, dtype=bool)
 
     def __len__(self) -> int:
-        return self._size
-
-    def _grow(self) -> None:
-        capacity = 2 * len(self._time)
-        for name in ("_time", "_speed", "_temperature", "_soc", "_active"):
-            column = getattr(self, name)
-            grown = np.empty(capacity, dtype=column.dtype)
-            grown[: self._size] = column[: self._size]
-            setattr(self, name, grown)
-
-    def append(
-        self,
-        time_s: float,
-        speed_kmh: float,
-        temperature_c: float,
-        state_of_charge: float,
-        node_active: bool,
-    ) -> None:
-        """Record one sample."""
-        if self._size == len(self._time):
-            self._grow()
-        index = self._size
-        self._time[index] = time_s
-        self._speed[index] = speed_kmh
-        self._temperature[index] = temperature_c
-        self._soc[index] = state_of_charge
-        self._active[index] = node_active
-        self._size = index + 1
+        return len(self._time)
 
     def arrays(self) -> dict[str, np.ndarray]:
         """The recorded columns as parallel array *views* (no copies).
 
         The views are marked read-only so a consumer mutating them in place
-        (safe under the old copy semantics) fails loudly instead of silently
-        corrupting the log; copy before transforming.
+        fails loudly instead of silently corrupting the log; copy before
+        transforming.
         """
-        size = self._size
         columns = {
-            "time_s": self._time[:size],
-            "speed_kmh": self._speed[:size],
-            "temperature_c": self._temperature[:size],
-            "state_of_charge": self._soc[:size],
-            "node_active": self._active[:size],
+            "time_s": self._time[:],
+            "speed_kmh": self._speed[:],
+            "temperature_c": self._temperature[:],
+            "state_of_charge": self._soc[:],
+            "node_active": self._active[:],
         }
         for view in columns.values():
             view.setflags(write=False)
         return columns
-
-    def to_samples(self) -> list[EmulationSample]:
-        """Materialize the log as row objects (compatibility view)."""
-        return [
-            EmulationSample(
-                time_s=float(self._time[i]),
-                speed_kmh=float(self._speed[i]),
-                temperature_c=float(self._temperature[i]),
-                state_of_charge=float(self._soc[i]),
-                node_active=bool(self._active[i]),
-            )
-            for i in range(self._size)
-        ]
 
     @classmethod
     def from_columns(
         cls, time_s, speed_kmh, temperature_c, state_of_charge, node_active
     ) -> "SampleLog":
         """Build a log from whole parallel columns (copied)."""
-        size = len(time_s)
-        log = cls(capacity=size)
-        log._time[:size] = time_s
-        log._speed[:size] = speed_kmh
-        log._temperature[:size] = temperature_c
-        log._soc[:size] = state_of_charge
-        log._active[:size] = node_active
-        log._size = size
-        return log
-
-    @classmethod
-    def from_samples(cls, samples) -> "SampleLog":
-        """Build a log from an iterable of :class:`EmulationSample` rows."""
-        samples = list(samples)
-        log = cls(capacity=max(1, len(samples)))
-        for sample in samples:
-            log.append(
-                sample.time_s,
-                sample.speed_kmh,
-                sample.temperature_c,
-                sample.state_of_charge,
-                sample.node_active,
-            )
+        log = cls()
+        log._time = np.array(time_s, dtype=float)
+        log._speed = np.array(speed_kmh, dtype=float)
+        log._temperature = np.array(temperature_c, dtype=float)
+        log._soc = np.array(state_of_charge, dtype=float)
+        log._active = np.array(node_active, dtype=bool)
         return log
 
 
@@ -200,9 +126,7 @@ class EmulationResult:
     """Outcome of one long-window emulation.
 
     Samples are stored column-wise in :attr:`log` (a :class:`SampleLog`);
-    :meth:`sample_arrays` returns views into it.  The ``samples`` property
-    materializes row objects for compatibility and should stay off hot
-    paths.
+    :meth:`sample_arrays` returns views into it.
     """
 
     def __init__(
@@ -210,7 +134,6 @@ class EmulationResult:
         node_name: str,
         cycle_name: str,
         duration_s: float,
-        samples: list[EmulationSample] | None = None,
         harvested_j: float = 0.0,
         consumed_j: float = 0.0,
         discarded_j: float = 0.0,
@@ -224,7 +147,7 @@ class EmulationResult:
         self.node_name = node_name
         self.cycle_name = cycle_name
         self.duration_s = duration_s
-        self.log = SampleLog.from_samples(samples) if samples else SampleLog()
+        self.log = SampleLog()
         self.harvested_j = harvested_j
         self.consumed_j = consumed_j
         self.discarded_j = discarded_j
@@ -236,23 +159,8 @@ class EmulationResult:
         self.trace = trace
 
     @property
-    def samples(self) -> tuple[EmulationSample, ...]:
-        """Row-object view of the recorded samples (materialized on access).
-
-        Returned as a tuple so that accidental in-place mutation (the old
-        list attribute allowed ``result.samples.append(...)``) fails loudly
-        instead of silently editing a throwaway copy; record through
-        ``result.log.append`` or assign a full list to ``result.samples``.
-        """
-        return tuple(self.log.to_samples())
-
-    @samples.setter
-    def samples(self, values) -> None:
-        self.log = SampleLog.from_samples(values)
-
-    @property
     def sample_count(self) -> int:
-        """Number of recorded samples (cheap, unlike ``len(self.samples)``)."""
+        """Number of recorded samples."""
         return len(self.log)
 
     _SCALAR_FIELDS = (

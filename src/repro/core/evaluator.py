@@ -17,6 +17,7 @@ Two evaluation paths are provided and cross-checked by the tests:
 
 from __future__ import annotations
 
+import os
 import threading
 import weakref
 from dataclasses import dataclass
@@ -46,6 +47,15 @@ _CENSUS_TIMING_CACHE: "weakref.WeakKeyDictionary[SensorNode, dict[float, tuple]]
     weakref.WeakKeyDictionary()
 )
 _CENSUS_TIMING_LOCK = threading.Lock()
+# A process forked while another thread holds the lock would inherit it
+# locked and hang on its first census lookup: hold it across every fork so
+# the child always starts with it free.
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(
+        before=_CENSUS_TIMING_LOCK.acquire,
+        after_in_parent=_CENSUS_TIMING_LOCK.release,
+        after_in_child=_CENSUS_TIMING_LOCK.release,
+    )
 
 
 def clear_census_timing_cache() -> None:
@@ -268,7 +278,7 @@ class EnergyEvaluator:
         self._compiled: CompiledPowerTable | None = None
         self._compiled_from: PowerDatabase | None = None
         self._compiled_version = -1
-        # Parallel studies share one evaluator across worker threads; the
+        # Concurrent serve jobs share one evaluator across job threads; the
         # lock keeps the lazy table compilation single-flight (the compiled
         # table itself is immutable and safe to read concurrently).
         self._compile_lock = threading.Lock()
@@ -281,7 +291,7 @@ class EnergyEvaluator:
         (``add``/``remove`` bump its version counter) or when ``database`` is
         rebound to a different object, so the batch APIs can never silently
         diverge from the scalar path on the same evaluator.  Thread-safe:
-        concurrent study workers compile the table at most once.
+        concurrent jobs sharing the evaluator compile the table at most once.
         """
         version = self.database._version
         if (

@@ -152,7 +152,7 @@ class FleetResult:
         vehicle_rows: per-vehicle rows, or ``None`` when the runner was
             asked not to keep them.
         metadata: run bookkeeping — population/seed, evaluator builds,
-            cohort/bin-sharing counters, engine timing, worker pool backend.
+            cohort/bin-sharing counters, engine timing, executed path.
     """
 
     def __init__(

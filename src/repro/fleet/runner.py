@@ -37,7 +37,7 @@ kernel — and :func:`~repro.core.emulator.summarize`, streamed through the
 shared :class:`~repro.scenario.engine.ChunkedEngine` into the fleet
 accumulators.  Being the same calls, per-vehicle figures are bit-identical
 to a naive ``emulate()`` of the same vehicle scenario, which is what makes
-the aggregates independent of worker counts and backends.  So are errors: a
+the aggregates independent of worker counts.  So are errors: a
 vehicle whose node is active on a round its schedule cannot cover, or whose
 thermal trajectory leaves the modelled range, fails with the message
 ``emulate()`` raises for it.  Every outcome is tagged with the path it took
@@ -46,6 +46,8 @@ older checkpoint journal count as ``untagged_vehicles``).
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -77,7 +79,7 @@ from repro.fleet.spec import FleetSpec, FleetVehicle, ThermalSpec
 from repro.scavenger.storage import scaled_storage, trajectory  # noqa: F401
 from repro.scenario.checkpoint import CheckpointStore
 from repro.scenario.engine import ChunkedEngine
-from repro.scenario.spec import ScenarioSpec
+from repro.scenario.spec import ScenarioSpec, worker_components
 
 __all__ = ["FleetRunner", "run_fleet"]
 
@@ -244,36 +246,27 @@ def _vehicle_outcome(
 
 
 # ---------------------------------------------------------------------------
-# Process-backend sharing
+# Pool-worker sharing
 #
-# The shared cohort tables and demands are stashed in module globals
-# *before* the engine creates its process pool: the fork context snapshots
-# them into every worker for free (the same mechanism that carries user
-# registry registrations).  On platforms without fork the workers find the
-# globals empty and rebuild each cohort they meet through the same
+# Each run stashes its cohort tables and demands in a module global under a
+# run token of its own *before* the engine creates its process pools: the
+# fork context snapshots them into every worker for free (the same mechanism
+# that carries user registry registrations), and the payload names the
+# token, so concurrent runs in one process (a server running several jobs)
+# never read each other's tables.  On platforms without fork the workers
+# find no entry and rebuild each cohort they meet through the same
 # functions — slower, bit-identical.
 # ---------------------------------------------------------------------------
 
-_SHARED_TABLES: dict[str, CycleTable] = {}
-_SHARED_DEMANDS: dict = {}
-
-#: Per-worker-process component memo, keyed by group key.
-_WORKER_COMPONENTS: dict[str, tuple] = {}
-
-
-def _worker_components(spec: ScenarioSpec):
-    """The (node, database, evaluator) triple of one worker-side vehicle."""
-    key = _group_key(spec)
-    cached = _WORKER_COMPONENTS.get(key)
-    if cached is None:
-        cached = spec.build_components()
-        _WORKER_COMPONENTS[key] = cached
-    return cached
+#: run token -> (cohort tables, demands) of every fleet run in progress.
+_SHARED_STATE: dict[int, tuple[dict, dict]] = {}
+_RUN_TOKENS = itertools.count()
 
 
 def _process_vehicle(payload) -> dict[str, object]:
-    """Worker entry of the process backend: one vehicle, self-contained."""
+    """Pool-worker entry: one vehicle, self-contained."""
     (
+        token,
         document,
         vehicle_index,
         speed_scale,
@@ -289,16 +282,15 @@ def _process_vehicle(payload) -> dict[str, object]:
     thermal = (
         ThermalSpec.coerce(thermal_document) if thermal_document is not None else None
     )
-    components = _worker_components(spec)
-    table = _SHARED_TABLES.get(cohort_key)
-    demand = _SHARED_DEMANDS.get(demand_key)
+    components = worker_components(spec)
+    tables, demands = _SHARED_STATE.setdefault(token, ({}, {}))
+    table = tables.get(cohort_key)
+    demand = demands.get(demand_key)
     if table is None or demand is None:  # pragma: no cover - platform without fork
         probe = _probe(components, spec)
         walk = _walk(probe, spec, speed_scale, record_interval_s, idle_step_s)
-        table = _cohort_table(walk, spec, thermal)
-        demand = probe.resolve(table, _temperatures(table, spec, thermal))[2]
-        _SHARED_TABLES[cohort_key] = table
-        _SHARED_DEMANDS[demand_key] = demand
+        table = tables[cohort_key] = _cohort_table(walk, spec, thermal)
+        demand = demands[demand_key] = probe.resolve(table, _temperatures(table, spec, thermal))[2]
     return _vehicle_outcome(
         vehicle_index,
         spec,
@@ -317,10 +309,9 @@ class FleetRunner:
 
     Args:
         fleet: the population description.
-        workers: engine pool width (``None``/1 = sequential).
-        backend: ``"thread"`` (default) or ``"process"`` — the same
-            semantics as ``Study.run``; aggregate rows are identical across
-            all settings.
+        workers: engine process-pool width (``None``/1 = sequential); the
+            same semantics as ``Study.run``, and aggregate rows are
+            identical for every width.
         survival_buckets: normalized-time resolution of the survival curve.
         keep_vehicle_rows: keep per-vehicle rows on the result (``False``
             aggregates streaming-only).
@@ -354,7 +345,6 @@ class FleetRunner:
         self,
         fleet: FleetSpec,
         workers: int | None = None,
-        backend: str = "thread",
         survival_buckets: int = DEFAULT_SURVIVAL_BUCKETS,
         keep_vehicle_rows: bool = True,
         record_interval_s: float = 1.0,
@@ -382,7 +372,6 @@ class FleetRunner:
             )
         self.fleet = fleet
         self.workers = workers
-        self.backend = backend
         self.survival_buckets = FleetAccumulator.validate_buckets(survival_buckets)
         self.keep_vehicle_rows = keep_vehicle_rows
         self.record_interval_s = record_interval_s
@@ -392,12 +381,11 @@ class FleetRunner:
         self.progress = progress
         self.should_stop = should_stop
         self._evaluator_cache = evaluator_cache
-        # Validates workers/backend/retries eagerly (same rules as studies).
+        # Validates workers/retries eagerly (same rules as studies).
         # Failed vehicles are collected (not raised) whenever a retry budget
         # is given: a caller asking for degradation wants the partial fleet.
         self._engine = ChunkedEngine(
             workers=workers,
-            backend=backend,
             retries=retries,
             retry_backoff_s=retry_backoff_s,
             failure_mode="collect" if retries > 0 else "raise",
@@ -525,6 +513,7 @@ class FleetRunner:
         buckets = self.survival_buckets
         thermal = fleet.thermal
         thermal_document = thermal.to_dict() if thermal is not None else None
+        token = next(_RUN_TOKENS)
 
         def kernel(vehicle: FleetVehicle) -> dict[str, object]:
             spec = vehicle.scenario
@@ -545,6 +534,7 @@ class FleetRunner:
         def payload(vehicle: FleetVehicle):
             ckey = _cohort_key(vehicle, thermal)
             return (
+                token,
                 vehicle.scenario.to_dict(),
                 vehicle.index,
                 vehicle.speed_scale,
@@ -557,15 +547,6 @@ class FleetRunner:
                 thermal_document,
             )
 
-        if self.backend == "process":
-            # Fork-inherited sharing: stash the shared state where worker
-            # processes (created by the engine below) will find it.  One
-            # process-backend fleet run at a time per parent process — a
-            # concurrent run would clobber these.
-            _SHARED_TABLES.clear()
-            _SHARED_TABLES.update(tables)
-            _SHARED_DEMANDS.clear()
-            _SHARED_DEMANDS.update(demands)
         # Outcomes replayed from a checkpoint journal written before outcomes
         # carried a path tag count as untagged.
         path_counts = {"cohort": 0, "untagged": 0}
@@ -574,6 +555,9 @@ class FleetRunner:
             path_counts["cohort" if outcome.get("path") == "cohort" else "untagged"] += 1
             accumulator.add(outcome)
 
+        # Fork-inherited sharing: stash this run's shared state where the
+        # worker processes the engine creates below will find it.
+        _SHARED_STATE[token] = (tables, demands)
         try:
             report = self._engine.run_chunks(
                 fleet.iter_chunks(),
@@ -587,12 +571,9 @@ class FleetRunner:
                 should_stop=self.should_stop,
             )
         finally:
-            if self.backend == "process":
-                # The forked pool snapshotted the globals at creation; the
-                # parent must not keep the cohort tables/demands alive (or
-                # visible to a later run) once the run is over.
-                _SHARED_TABLES.clear()
-                _SHARED_DEMANDS.clear()
+            # The forked pools snapshotted the stash at creation; the parent
+            # must not keep this run's tables/demands alive once it is over.
+            _SHARED_STATE.pop(token, None)
 
         partial = report.stopped_early or bool(report.failures)
         metadata = {
@@ -616,8 +597,7 @@ class FleetRunner:
             "evaluator_cache_hits": self.evaluator_cache_hits,
             "survival_buckets": buckets,
             "workers": self.workers or 1,
-            "backend": self.backend,
-            "engine_backend": report.backend,
+            "backend": report.backend,
             "wall_time_s": report.wall_time_s,
             "vehicle_wall_times_s": report.item_wall_times_s,
             "chunk_vehicles": fleet.chunk_vehicles,
@@ -645,8 +625,7 @@ class FleetRunner:
 def run_fleet(
     fleet: FleetSpec,
     workers: int | None = None,
-    backend: str = "thread",
     **options,
 ) -> FleetResult:
     """One-call convenience wrapper: build a :class:`FleetRunner` and run it."""
-    return FleetRunner(fleet, workers=workers, backend=backend, **options).run()
+    return FleetRunner(fleet, workers=workers, **options).run()

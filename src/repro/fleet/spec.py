@@ -9,7 +9,7 @@ round-trips through :meth:`FleetSpec.to_dict` / :meth:`FleetSpec.from_dict`
 exactly (``from_dict(to_dict()) == spec``, property-tested) — and
 materializing the population is a pure function of ``(seed, fleet
 document)``: the same document draws the same vehicles whichever worker
-count or backend executes them.
+count executes them.
 
 A minimal JSON document::
 
@@ -454,7 +454,7 @@ class FleetSpec:
         Seeded from the fleet seed plus a digest of the fleet document
         (mirroring the Monte-Carlo ``(seed, scenario document)`` stream
         derivation), so materialization is a pure function of the document —
-        independent of worker counts, backends and execution order.  Chunk
+        independent of worker counts and execution order.  Chunk
         generators extend the same seed tuple with the chunk index; this
         fleet-level stream only feeds the population-wide shared draws.
         """

@@ -6,23 +6,22 @@ per-item timing and row collection were welded to the study grid.  This
 module extracts that machinery into a reusable engine with a streaming
 contract::
 
-    work-item iterator  →  chunked thread/process execution  →  row sink
+    work-item iterator  →  chunked process-pool execution  →  row sink
 
 * **Work items** come from any iterable; the engine consumes it lazily in
   chunks, so neither the item list nor the result set ever needs to be
   materialized wholesale (a million-vehicle fleet streams through a bounded
   window of in-flight work).
-* **Execution** runs sequentially (``workers=1`` or fewer than two items),
-  on a thread pool, or on a process pool.  The process backend ships each
-  item through a caller-provided *payload* function (something picklable —
-  scenario JSON documents, vehicle parameter tuples) to a module-level
-  *worker* function, using the fork context so user registry registrations
-  reach the workers.
+* **Execution** runs sequentially (``workers=1`` or fewer than two items)
+  or on a process pool.  The pool ships each item through a caller-provided
+  *payload* function (something picklable — scenario JSON documents,
+  vehicle parameter tuples) to a module-level *worker* function, using the
+  fork context so user registry registrations reach the workers.
 * **Results** are pushed to a ``sink(index, result)`` callback in input
   order as the bounded in-flight window advances — never held back until
   the whole run finishes, and never barriered between chunks (as one item
   finishes, the next is submitted).  Rows are identical (order, values,
-  key order) to a sequential run whichever backend executes them.
+  key order) to a sequential run whatever the worker count.
 * **Failure degradation** is bounded and structured: per-item exceptions
   are retried up to ``retries`` times with a backoff, and a dead worker
   process (``BrokenProcessPool``) rebuilds the pool and resubmits the
@@ -33,7 +32,7 @@ contract::
   records on the report (``failure_mode="collect"``) while the run carries
   on.
 
-Per-item wall times and the executed backend land in the returned
+Per-item wall times and the executed path land in the returned
 :class:`EngineReport`, which is how ``StudyResult.metadata`` keeps its
 timing bookkeeping.  :meth:`ChunkedEngine.run_chunks` layers checkpointed,
 resumable execution over pre-chunked work (see
@@ -59,15 +58,12 @@ import itertools
 import multiprocessing
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable
 
 from repro.errors import ConfigError, EngineError
-
-#: Backends the engine understands.
-ENGINE_BACKENDS = ("thread", "process")
 
 #: Default number of in-flight items per worker slot.  The sliding window
 #: keeps ``chunk_size * workers`` items submitted at any moment: large
@@ -82,7 +78,7 @@ FAILURE_MODES = ("raise", "collect")
 
 
 def process_pool_context():
-    """The multiprocessing context of the process backend.
+    """The multiprocessing context of the process pool.
 
     Forked workers inherit user registry registrations (and the loaded
     modules), which is what lets a payload referencing a ``register_*``-ed
@@ -140,16 +136,16 @@ class EngineReport:
     """Bookkeeping of one engine run.
 
     Attributes:
-        backend: the backend that actually executed the items —
-            ``"sequential"``, ``"thread"`` or ``"process"`` (a parallel
-            request over zero or one items degrades to sequential; a fully
-            checkpoint-replayed ``run_chunks`` reports ``"resumed"``).
+        backend: the path that actually executed the items —
+            ``"sequential"`` or ``"process"`` (a parallel request over zero
+            or one items degrades to sequential; a fully checkpoint-replayed
+            ``run_chunks`` reports ``"resumed"``).
         workers: the effective pool width used.
         items: number of work items executed (including replayed and failed
             ones).
         wall_time_s: total wall time of the run.
         item_wall_times_s: per-item wall times, in input order.  For the
-            process backend the time is measured inside the worker and
+            process pool the time is measured inside the worker and
             covers the payload rebuild plus the kernel, mirroring what the
             in-process path measures.  A failed item's entry covers its
             final attempt; a replayed item's entry is the journaled time of
@@ -233,10 +229,8 @@ class ChunkedEngine:
     """Chunked, order-preserving executor for independent work items.
 
     Args:
-        workers: pool width.  ``None`` or 1 executes sequentially.
-        backend: ``"thread"`` (default) or ``"process"`` (see the module
-            docstring); ignored — sequential — when fewer than two items or
-            workers arrive.
+        workers: process-pool width.  ``None`` or 1 executes sequentially,
+            as does a run over fewer than two items.
         chunk_size: in-flight items per worker slot
             (:data:`DEFAULT_CHUNK_SIZE`); the sliding submission window is
             ``chunk_size * workers`` items.
@@ -253,7 +247,6 @@ class ChunkedEngine:
     def __init__(
         self,
         workers: int | None = None,
-        backend: str = "thread",
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         retries: int = 0,
         retry_backoff_s: float = 0.05,
@@ -263,11 +256,6 @@ class ChunkedEngine:
             workers = 1
         if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
             raise ConfigError(f"workers must be a positive integer, got {workers!r}")
-        if backend not in ENGINE_BACKENDS:
-            raise ConfigError(
-                f"unknown execution backend {backend!r}; "
-                f"available: {list(ENGINE_BACKENDS)}"
-            )
         if not isinstance(chunk_size, int) or isinstance(chunk_size, bool) or chunk_size < 1:
             raise ConfigError(f"chunk_size must be a positive integer, got {chunk_size!r}")
         if not isinstance(retries, int) or isinstance(retries, bool) or retries < 0:
@@ -285,7 +273,6 @@ class ChunkedEngine:
                 f"unknown failure_mode {failure_mode!r}; available: {list(FAILURE_MODES)}"
             )
         self.workers = workers
-        self.backend = backend
         self.chunk_size = chunk_size
         self.retries = retries
         self.retry_backoff_s = float(retry_backoff_s)
@@ -306,17 +293,16 @@ class ChunkedEngine:
 
         Args:
             items: the work items; consumed lazily, chunk by chunk.
-            kernel: in-process item evaluator (sequential and thread
-                backends, and the sequential degradation of the process
-                backend — a single-item "grid" never pays pool start-up).
+            kernel: in-process item evaluator (the sequential path,
+                including a parallel request over fewer than two items — a
+                single-item "grid" never pays pool start-up).
             sink: called as ``sink(index, result)`` in input order as
                 results complete; failed items (``failure_mode="collect"``)
                 are skipped, their indices recorded on the report.
             process_worker: module-level (picklable) function executing one
-                *payload* in a worker process; required for the process
-                backend.
+                *payload* in a worker process; required when ``workers > 1``.
             process_payload: maps an item to the picklable payload shipped
-                to ``process_worker``; required for the process backend.
+                to ``process_worker``; required when ``workers > 1``.
             progress: optional observer called after every settled item with
                 ``{"event": "item", "items_done": n, "failures": k}``
                 (cumulative counts, input order — right after the item's
@@ -324,16 +310,15 @@ class ChunkedEngine:
                 must be cheap and non-throwing.
 
         Returns:
-            An :class:`EngineReport` with the executed backend and timings.
+            An :class:`EngineReport` with the executed path and timings.
         """
-        missing_worker = process_worker is None or process_payload is None
-        if self.backend == "process" and self.workers > 1 and missing_worker:
-            raise ConfigError("the process backend needs process_worker and process_payload")
+        if self.workers > 1 and (process_worker is None or process_payload is None):
+            raise ConfigError("workers > 1 needs process_worker and process_payload")
         if progress is not None and not callable(progress):
             raise ConfigError(f"progress must be callable, got {progress!r}")
         iterator = iter(items)
         # Peek ahead far enough to know whether a pool is worth starting:
-        # zero or one items degrade to the sequential path on any backend.
+        # zero or one items degrade to the sequential path.
         head = list(itertools.islice(iterator, 2))
         parallel = self.workers > 1 and len(head) > 1
         iterator = itertools.chain(head, iterator)
@@ -344,7 +329,7 @@ class ChunkedEngine:
         counters = {"retries": 0, "pool_rebuilds": 0}
         collect = self.failure_mode == "collect"
         window = self.chunk_size * self.workers
-        if parallel and self.backend == "process":
+        if parallel:
             backend_used = "process"
             tasks = (
                 (process_worker, process_payload(item), self.retries, self.retry_backoff_s, collect)
@@ -353,18 +338,6 @@ class ChunkedEngine:
             items_run = self._drain_process(
                 tasks, window, sink, timings, failures, counters, progress
             )
-        elif parallel:
-            backend_used = "thread"
-
-            def timed(item):
-                return _run_attempts(
-                    lambda: kernel(item), self.retries, self.retry_backoff_s, collect
-                )
-
-            with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                items_run = self._drain_window(
-                    pool, timed, iterator, window, sink, timings, failures, counters, progress
-                )
         else:
             backend_used = "sequential"
             items_run = 0
@@ -398,49 +371,15 @@ class ChunkedEngine:
             pool_rebuilds=counters["pool_rebuilds"],
         )
 
-    def _drain_window(
-        self, pool, task, items, window, sink, timings, failures, counters, progress=None
-    ) -> int:
-        """Sliding-window submission: bounded in-flight, ordered release.
-
-        At most ``window`` futures are submitted at any moment; as the
-        *oldest* completes, its result goes to the sink (preserving input
-        order) and the next item is submitted — no barrier, so a slow item
-        never idles the other workers beyond the window bound.
-        """
-        pending: deque = deque()
-        index = 0
-        for item in items:
-            if len(pending) >= window:
-                index = self._settle(
-                    pending.popleft(), index, sink, timings, failures, counters, progress
-                )
-            pending.append(pool.submit(task, item))
-        while pending:
-            index = self._settle(
-                pending.popleft(), index, sink, timings, failures, counters, progress
-            )
-        return index
-
-    @staticmethod
-    def _settle(future, index, sink, timings, failures, counters, progress=None) -> int:
-        """Release one completed future to the sink (or the failure list)."""
-        value, elapsed, attempts = future.result()
-        counters["retries"] += attempts - 1
-        timings.append(elapsed)
-        if isinstance(value, _FailedItem):
-            failures.append(
-                EngineFailure(index=index, attempts=attempts, kind=value.kind, error=value.error)
-            )
-        else:
-            sink(index, value)
-        _notify_item(progress, index + 1, len(failures))
-        return index + 1
-
     def _drain_process(
         self, tasks, window, sink, timings, failures, counters, progress=None
     ) -> int:
-        """The process-backend drain: the sliding window plus death recovery.
+        """Sliding-window submission with ordered release and death recovery.
+
+        At most ``window`` tasks are in flight at any moment; as the *oldest*
+        completes, its result goes to the sink (preserving input order) and
+        the next item is submitted — no barrier, so a slow item never idles
+        the other workers beyond the window bound.
 
         A dead worker process poisons every in-flight future
         (``BrokenProcessPool``), with no indication of which item killed it —

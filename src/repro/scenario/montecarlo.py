@@ -11,7 +11,7 @@ of N scalar schedule reports.
 
 Determinism contract: the random stream is derived from ``(seed, scenario
 document)``, never from execution order, so a grid point draws the same
-sample population whether the study runs sequentially or on a thread pool —
+sample population whether the study runs sequentially or on a process pool —
 ``Study.run(workers=4)`` rows are identical to the sequential ones.
 
 The per-axis samplers ride the fleet distribution registry
@@ -122,7 +122,7 @@ class MonteCarloConfig:
 
         Seeded from the config seed plus a digest of the scenario document,
         so the stream is a pure function of (config, scenario) — independent
-        of grid position and of whether the study runs on worker threads.
+        of grid position and of whether the study runs in worker processes.
         """
         digest = zlib.crc32(scenario_document.encode("utf-8"))
         return np.random.default_rng((self.seed, digest))

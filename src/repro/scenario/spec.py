@@ -490,6 +490,23 @@ class ScenarioSpec:
         return ", ".join(parts)
 
 
+#: Per-process component memo of pool workers, keyed by
+#: :meth:`ScenarioSpec.evaluator_group_key`.  Forked workers start with the
+#: parent's (empty) dict and warm it independently, so work items sharing an
+#: architecture pay the database re-targeting and table compilation once per
+#: *worker*, not once per item.
+_WORKER_COMPONENTS: dict[str, tuple] = {}
+
+
+def worker_components(spec: ScenarioSpec) -> tuple:
+    """The memoized ``(node, database, evaluator)`` triple of a pool worker."""
+    key = spec.evaluator_group_key()
+    cached = _WORKER_COMPONENTS.get(key)
+    if cached is None:
+        cached = _WORKER_COMPONENTS[key] = spec.build_components()
+    return cached
+
+
 def load_scenario(path: str | Path) -> ScenarioSpec:
     """Read a scenario JSON file into a validated :class:`ScenarioSpec`.
 

@@ -37,24 +37,21 @@ observable through ``StudyResult.metadata['evaluator_builds']`` /
 
 ``Study.run(workers=N)`` delegates the scheduling to the shared
 :class:`~repro.scenario.engine.ChunkedEngine` (the same engine the fleet
-runner rides): grid points stream through a chunked thread pool — the
-evaluator cache is lock-protected, random streams are derived per scenario
-(never from execution order), and rows keep the sequential order — so a
-parallel run returns rows identical, order and values, to the sequential
-one.  ``backend="process"`` swaps the thread pool for a process pool: each
+runner rides): grid points stream through a chunked process pool.  Each
 grid point's spec travels to the worker as its JSON-round-trippable
-document and is rebuilt there, which sidesteps the GIL for CPU-bound kinds
-(``optimize``, ``emulate``) at the cost of per-worker evaluator builds.
-Per-run wall time and per-row timings land in
+document and is rebuilt there; random streams are derived per scenario
+(never from execution order) and rows keep the sequential order, so a
+parallel run returns rows identical, order and values, to the sequential
+one.  Sequential and worker rows come from the same per-kind row
+functions.  Per-run wall time and per-row timings land in
 ``StudyResult.metadata['wall_time_s']`` / ``['row_wall_times_s']`` (and the
-``backend``) so performance regressions are observable from the result
-alone.
+executed path in ``['backend']``) so performance regressions are observable
+from the result alone.
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -68,7 +65,7 @@ from repro.reporting.export import rows_to_csv, rows_to_json
 from repro.reporting.tables import render_table
 from repro.scenario.engine import ChunkedEngine
 from repro.scenario.montecarlo import MonteCarloConfig, summarize_energies
-from repro.scenario.spec import ComponentRef, ScenarioSpec
+from repro.scenario.spec import ComponentRef, ScenarioSpec, worker_components
 
 #: Analysis kinds the runner understands.
 STUDY_KINDS = ("balance", "report", "optimize", "emulate", "explore", "montecarlo")
@@ -203,15 +200,12 @@ class Study:
         self.axes = normalized
         # (architecture ref, workload overrides, database ref) -> shared
         # (node, database, evaluator); grid points differing only in
-        # environment or scavenger/storage reuse the compiled table.  The
-        # lock makes lookups/builds single-flight when run(workers=N)
-        # executes grid points on a thread pool.  An external
-        # ``evaluator_cache`` (the serving layer's bounded LRU) replaces the
+        # environment or scavenger/storage reuse the compiled table.  An
+        # external ``evaluator_cache`` (the serving layer's bounded LRU) replaces the
         # per-study dict so compiled tables survive across studies; the
         # per-run builds/hits counters keep their meaning either way.
         self._evaluators: dict[str, tuple] = {}
         self._external_cache = evaluator_cache
-        self._evaluator_lock = threading.Lock()
         self.evaluator_builds = 0
         self.evaluator_cache_hits = 0
 
@@ -250,20 +244,18 @@ class Study:
                 return spec.build_components()
 
             components = self._external_cache.get(key, builder)
-            with self._evaluator_lock:
-                if built:
-                    self.evaluator_builds += 1
-                else:
-                    self.evaluator_cache_hits += 1
-            return components
-        with self._evaluator_lock:
-            cached = self._evaluators.get(key)
-            if cached is not None:
+            if built:
+                self.evaluator_builds += 1
+            else:
                 self.evaluator_cache_hits += 1
-                return cached
-            self.evaluator_builds += 1
-            self._evaluators[key] = spec.build_components()
-            return self._evaluators[key]
+            return components
+        cached = self._evaluators.get(key)
+        if cached is not None:
+            self.evaluator_cache_hits += 1
+            return cached
+        self.evaluator_builds += 1
+        cached = self._evaluators[key] = spec.build_components()
+        return cached
 
     # -- execution ----------------------------------------------------------
 
@@ -271,27 +263,19 @@ class Study:
         self,
         kind: str = "balance",
         workers: int | None = None,
-        backend: str = "thread",
         progress=None,
     ) -> StudyResult:
         """Execute ``kind`` over every grid point and collect uniform rows.
 
         Args:
             kind: one of :data:`STUDY_KINDS`.
-            workers: optional pool width.  ``None`` or 1 runs the grid
-                sequentially; larger values execute grid points concurrently
-                while preserving the sequential row order and values exactly
-                (evaluator sharing is lock-protected and every random stream
-                is derived per scenario, never from execution order).
-            backend: ``"thread"`` (default) shares one process and the
-                evaluator cache across workers — right when numpy releases
-                the GIL on large arrays.  ``"process"`` ships each grid
-                point's spec document to a worker process (riding on the
-                JSON round-trip) and rebuilds the components there — right
-                for CPU-bound kinds (``optimize``, ``emulate``) whose
-                per-row Python work serializes under the GIL.  Rows are
-                identical either way; with the process backend the evaluator
-                builds happen in the workers, so the parent's
+            workers: optional process-pool width.  ``None`` or 1 runs the
+                grid sequentially; larger values ship each grid point's spec
+                document to a worker process, which rebuilds the components
+                and assembles the row there.  Rows keep the sequential order
+                and values exactly (every random stream is derived per
+                scenario, never from execution order).  The evaluator builds
+                then happen in the workers, so the parent's
                 ``evaluator_builds``/``evaluator_cache_hits`` counters stay
                 at zero.
             progress: optional engine observer (see
@@ -300,26 +284,20 @@ class Study:
         """
         if kind not in STUDY_KINDS:
             raise ConfigError(f"unknown analysis kind {kind!r}; available: {list(STUDY_KINDS)}")
-        if workers is None:
-            workers = 1
-        if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
-            raise ConfigError(f"workers must be a positive integer, got {workers!r}")
-        if backend not in ("thread", "process"):
-            raise ConfigError(
-                f"unknown study backend {backend!r}; available: ['thread', 'process']"
-            )
-        runner = getattr(self, f"_run_{kind}")
+        # Validates workers (same rules as every engine client).
+        engine = ChunkedEngine(workers=workers)
         builds_before = self.evaluator_builds
         hits_before = self.evaluator_cache_hits
         grid = self.scenarios()
 
+        def cells(overrides: dict[str, object]) -> tuple:
+            return tuple((axis, _axis_display(overrides[axis])) for axis in self.axes)
+
         def kernel(item: tuple[dict[str, object], ScenarioSpec]) -> dict[str, object]:
             overrides, spec = item
-            row: dict[str, object] = {"scenario": spec.name}
-            for axis in self.axes:
-                row[axis] = _axis_display(overrides[axis])
-            row.update(runner(spec))
-            return row
+            return _grid_row(
+                spec, cells(overrides), kind, self._evaluator_for(spec), self.montecarlo
+            )
 
         def payload(item: tuple[dict[str, object], ScenarioSpec]):
             # Ship each grid point as its JSON-round-trippable document plus
@@ -327,15 +305,12 @@ class Study:
             # through the registries and assembles the *complete* row, so
             # ordering and key order match the sequential run exactly.
             overrides, spec = item
-            cells = tuple((axis, _axis_display(overrides[axis])) for axis in self.axes)
-            return (spec.to_dict(), cells, kind, self.montecarlo)
+            return (spec.to_dict(), cells(overrides), kind, self.montecarlo)
 
         # The scheduling/worker/timing machinery is the shared chunked
         # engine; the study only supplies the row kernels and collects the
-        # streamed rows (grid points sharing an evaluator warm each other's
-        # caches — the lock-protected cache needs no other coordination).
+        # streamed rows.
         rows: list[dict[str, object]] = []
-        engine = ChunkedEngine(workers=workers, backend=backend)
         report = engine.run(
             grid,
             kernel,
@@ -356,51 +331,27 @@ class Study:
             # Timing bookkeeping: total wall time of this run plus each grid
             # point's own wall time (sequential row order), so perf
             # regressions are observable from the StudyResult alone.
-            "workers": workers,
-            "backend": backend,
+            "workers": engine.workers,
+            "backend": report.backend,
             "wall_time_s": report.wall_time_s,
             "row_wall_times_s": report.item_wall_times_s,
         }
         return StudyResult(kind=kind, axes=tuple(self.axes), rows=tuple(rows), metadata=metadata)
 
-    # -- per-kind row builders (thin wrappers over the module-level kernels) --
-
-    def _run_balance(self, spec: ScenarioSpec) -> dict[str, object]:
-        node, database, evaluator = self._evaluator_for(spec)
-        return _balance_row(spec, node, database, evaluator)
-
-    def _run_report(self, spec: ScenarioSpec) -> dict[str, object]:
-        _node, _database, evaluator = self._evaluator_for(spec)
-        return _report_row(spec, evaluator)
-
-    def _run_optimize(self, spec: ScenarioSpec) -> dict[str, object]:
-        node, database, evaluator = self._evaluator_for(spec)
-        return _optimize_row(spec, node, database, evaluator)
-
-    def _run_emulate(self, spec: ScenarioSpec) -> dict[str, object]:
-        node, database, evaluator = self._evaluator_for(spec)
-        return _emulate_row(spec, node, database, evaluator)
-
-    def _run_montecarlo(self, spec: ScenarioSpec) -> dict[str, object]:
-        node, _database, evaluator = self._evaluator_for(spec)
-        return _montecarlo_row(spec, node, evaluator, self.montecarlo)
-
-    def _run_explore(self, spec: ScenarioSpec) -> dict[str, object]:
-        node, database, evaluator = self._evaluator_for(spec)
-        return _explore_row(spec, node, database, evaluator)
-
 
 # ---------------------------------------------------------------------------
 # Per-kind row kernels
 #
-# Module-level (picklable, self-contained) so the process-pool backend can
-# execute them in worker processes against a spec rebuilt from its JSON
-# document; the in-process runners above call the same functions with the
-# study's shared evaluator.
+# One function per kind, all with the signature
+# ``(spec, (node, database, evaluator), montecarlo) -> figures``.  Module-level
+# (picklable, self-contained) so pool workers run them against a spec rebuilt
+# from its JSON document; the in-process kernel calls the same functions with
+# the study's shared evaluator.
 # ---------------------------------------------------------------------------
 
 
-def _balance_row(spec, node, database, evaluator) -> dict[str, object]:
+def _balance_row(spec, components, _montecarlo) -> dict[str, object]:
+    node, database, evaluator = components
     analysis = EnergyBalanceAnalysis(
         node, database, spec.build_scavenger(), evaluator=evaluator
     )
@@ -424,7 +375,8 @@ def _balance_row(spec, node, database, evaluator) -> dict[str, object]:
     }
 
 
-def _report_row(spec, evaluator) -> dict[str, object]:
+def _report_row(spec, components, _montecarlo) -> dict[str, object]:
+    evaluator = components[2]
     point = spec.operating_point()
     dynamic, static, period = evaluator.average_components_sweep([point])
     standstill = evaluator.standstill_power_sweep([point.at_speed(0.0)])
@@ -438,7 +390,8 @@ def _report_row(spec, evaluator) -> dict[str, object]:
     }
 
 
-def _optimize_row(spec, node, database, evaluator) -> dict[str, object]:
+def _optimize_row(spec, components, _montecarlo) -> dict[str, object]:
+    node, database, evaluator = components
     point = spec.operating_point()
     assignments = select_techniques(evaluator.duty_cycles(point), database=database)
     outcome = apply_assignments(
@@ -452,7 +405,8 @@ def _optimize_row(spec, node, database, evaluator) -> dict[str, object]:
     }
 
 
-def _emulate_row(spec, node, database, evaluator) -> dict[str, object]:
+def _emulate_row(spec, components, _montecarlo) -> dict[str, object]:
+    node, database, evaluator = components
     cycle = spec.build_drive_cycle()
     if cycle is None:
         raise ConfigError("the 'emulate' kind needs the scenario to name a drive_cycle")
@@ -473,10 +427,11 @@ def _emulate_row(spec, node, database, evaluator) -> dict[str, object]:
     return {"cycle_name": cycle.name, **result.summary()}
 
 
-def _montecarlo_row(spec, node, evaluator, config: MonteCarloConfig) -> dict[str, object]:
+def _montecarlo_row(spec, components, config: MonteCarloConfig) -> dict[str, object]:
     # The stream is a pure function of (config, scenario document):
-    # identical draws whether the grid runs sequentially, on a thread pool
-    # or in worker processes.
+    # identical draws whether the grid runs sequentially or in worker
+    # processes.
+    node, _database, evaluator = components
     rng = config.rng_for(spec.to_json())
     draws = config.draw(node, spec.operating_point(), rng)
     energies = evaluator.schedule_energy_sweep(draws.conditions, draws.patterns)
@@ -486,7 +441,8 @@ def _montecarlo_row(spec, node, evaluator, config: MonteCarloConfig) -> dict[str
     return row
 
 
-def _explore_row(spec, node, database, evaluator) -> dict[str, object]:
+def _explore_row(spec, components, _montecarlo) -> dict[str, object]:
+    node, database, evaluator = components
     analysis = EnergyBalanceAnalysis(
         node, database, spec.build_scavenger(), evaluator=evaluator
     )
@@ -509,58 +465,41 @@ def _explore_row(spec, node, database, evaluator) -> dict[str, object]:
     }
 
 
-#: Per-worker-process evaluator memo of the process backend, keyed like
-#: ``Study._evaluator_for``.  Forked workers start with the parent's (empty)
-#: dict and warm it independently, so a grid sharing one architecture pays
-#: the database re-targeting and table compilation once per *worker*, not
-#: once per row.
-_WORKER_EVALUATORS: dict[str, tuple] = {}
+#: The row kernel of every analysis kind (see :data:`STUDY_KINDS`).
+_ROW_KERNELS = {
+    "balance": _balance_row,
+    "report": _report_row,
+    "optimize": _optimize_row,
+    "emulate": _emulate_row,
+    "explore": _explore_row,
+    "montecarlo": _montecarlo_row,
+}
 
 
-def _worker_components(spec: ScenarioSpec):
-    """The (node, database, evaluator) triple of one worker-side grid point."""
-    key = spec.evaluator_group_key()
-    cached = _WORKER_EVALUATORS.get(key)
-    if cached is None:
-        cached = spec.build_components()
-        _WORKER_EVALUATORS[key] = cached
-    return cached
+def _grid_row(spec, cells, kind, components, montecarlo) -> dict[str, object]:
+    """The complete row of one grid point: scenario, axis cells, figures."""
+    row: dict[str, object] = {"scenario": spec.name}
+    row.update(cells)
+    row.update(_ROW_KERNELS[kind](spec, components, montecarlo))
+    return row
 
 
 def _process_grid_point(
     payload: tuple[object, tuple, str, MonteCarloConfig],
 ) -> dict[str, object]:
-    """Worker entry of the process backend: one grid point, self-contained.
+    """Pool-worker entry: one grid point, self-contained.
 
     Receives the grid point's scenario as its JSON-round-trippable document
     plus the pre-rendered axis cells, rebuilds the spec through the
     registries (workers inherit user registrations via the fork context) and
-    assembles the complete row with a per-worker shared evaluator.  Every
+    assembles the complete row with the per-worker component memo.  Every
     kind is a pure function of the spec, so the row is identical — values
     and key order — to the sequential one.  The engine times the call inside
     the worker.
     """
-    document, axis_cells, kind, montecarlo = payload
+    document, cells, kind, montecarlo = payload
     spec = ScenarioSpec.from_dict(document)
-    node, database, evaluator = _worker_components(spec)
-    row: dict[str, object] = {"scenario": spec.name}
-    for axis, value in axis_cells:
-        row[axis] = value
-    if kind == "balance":
-        row.update(_balance_row(spec, node, database, evaluator))
-    elif kind == "report":
-        row.update(_report_row(spec, evaluator))
-    elif kind == "optimize":
-        row.update(_optimize_row(spec, node, database, evaluator))
-    elif kind == "emulate":
-        row.update(_emulate_row(spec, node, database, evaluator))
-    elif kind == "montecarlo":
-        row.update(_montecarlo_row(spec, node, evaluator, montecarlo))
-    elif kind == "explore":
-        row.update(_explore_row(spec, node, database, evaluator))
-    else:  # pragma: no cover - validated before dispatch
-        raise ConfigError(f"unknown analysis kind {kind!r}")
-    return row
+    return _grid_row(spec, cells, kind, worker_components(spec), montecarlo)
 
 
 def run_study(
@@ -568,10 +507,7 @@ def run_study(
     axes: Mapping[str, Sequence[object]] | None = None,
     kind: str = "balance",
     workers: int | None = None,
-    backend: str = "thread",
     montecarlo: MonteCarloConfig | None = None,
 ) -> StudyResult:
     """One-call convenience wrapper: build a :class:`Study` and run it."""
-    return Study(spec, axes=axes, montecarlo=montecarlo).run(
-        kind, workers=workers, backend=backend
-    )
+    return Study(spec, axes=axes, montecarlo=montecarlo).run(kind, workers=workers)

@@ -18,8 +18,8 @@ Result identity discipline
 Each request normalizes to a *store key document* holding exactly the
 result-shaping parameters — the canonical spec document, the seed, and
 the runner parameters the kernels read (record interval, survival
-buckets, ...).  Execution-only parameters (``workers``, ``backend``,
-``retries``) are excluded: the engine's row-identity contract makes them
+buckets, ...).  Execution-only parameters (``workers``, ``retries``) are
+excluded: the engine's row-identity contract makes them
 invisible in the rows, so any execution plan shares one store entry.  The
 serialized result document likewise strips the non-deterministic
 bookkeeping (wall times, worker counts, resume/retry counters) before
@@ -81,7 +81,6 @@ _FLEET_METADATA_DROP = frozenset(
     {
         "workers",
         "backend",
-        "engine_backend",
         "wall_time_s",
         "vehicle_wall_times_s",
         "evaluator_builds",
@@ -164,19 +163,6 @@ def _check_fields(document: Mapping[str, object], allowed: set[str], what: str) 
         )
 
 
-def _parse_workers_backend(
-    document: Mapping[str, object], default_workers, default_backend
-) -> tuple[int | None, str]:
-    workers = document.get("workers", default_workers)
-    backend = document.get("backend", default_backend)
-    if backend == "process" and (workers is None or workers <= 1):
-        raise ConfigError(
-            "backend 'process' needs workers greater than 1 "
-            "(a single worker runs sequentially in this process)"
-        )
-    return workers, backend
-
-
 _MONTECARLO_FIELDS = {
     "samples",
     "seed",
@@ -220,13 +206,13 @@ def _montecarlo_key_document(config: MonteCarloConfig) -> dict[str, object]:
 class _StudyRequest:
     """A validated study request: ready-to-run pieces plus its store key."""
 
-    __slots__ = ("spec", "axes", "analysis", "montecarlo", "workers", "backend", "key")
+    __slots__ = ("spec", "axes", "analysis", "montecarlo", "workers", "key")
 
-    def __init__(self, document: object, default_workers, default_backend) -> None:
+    def __init__(self, document: object, default_workers) -> None:
         document = _require_mapping(document, "study request")
         _check_fields(
             document,
-            {"scenario", "axes", "analysis", "montecarlo", "workers", "backend"},
+            {"scenario", "axes", "analysis", "montecarlo", "workers"},
             "study request",
         )
         if "scenario" not in document:
@@ -244,9 +230,7 @@ class _StudyRequest:
         self.montecarlo = (
             _parse_montecarlo(document["montecarlo"]) if "montecarlo" in document else None
         )
-        self.workers, self.backend = _parse_workers_backend(
-            document, default_workers, default_backend
-        )
+        self.workers = document.get("workers", default_workers)
         # Validates the axes (names, collisions, emptiness) at submit time.
         study = self.build_study()
         self.key = {
@@ -288,7 +272,6 @@ class _FleetRequest:
     __slots__ = (
         "fleet",
         "workers",
-        "backend",
         "retries",
         "record_interval_s",
         "idle_step_s",
@@ -297,7 +280,7 @@ class _FleetRequest:
         "key",
     )
 
-    def __init__(self, document: object, default_workers, default_backend) -> None:
+    def __init__(self, document: object, default_workers) -> None:
         document = _require_mapping(document, "fleet request")
         _check_fields(
             document,
@@ -308,7 +291,6 @@ class _FleetRequest:
                 "seed",
                 "chunk_vehicles",
                 "workers",
-                "backend",
                 "retries",
                 "record_interval_s",
                 "idle_step_s",
@@ -330,9 +312,7 @@ class _FleetRequest:
             seed=document.get("seed"),
             chunk_vehicles=document.get("chunk_vehicles"),
         )
-        self.workers, self.backend = _parse_workers_backend(
-            document, default_workers, default_backend
-        )
+        self.workers = document.get("workers", default_workers)
         self.retries = document.get("retries", 0)
         self.record_interval_s = document.get("record_interval_s", 1.0)
         self.idle_step_s = document.get("idle_step_s", 1.0)
@@ -341,7 +321,7 @@ class _FleetRequest:
         # Mirrors FleetRunner.checkpoint_key(): the full fleet document plus
         # every runner parameter the kernels read.  keep_vehicle_rows shapes
         # the *document* (rows present or null), so it keys too; retries/
-        # workers/backend shape only the execution plan and do not.
+        # workers shape only the execution plan and do not.
         self.key = {
             "kind": "fleet",
             "fleet": self.fleet.to_dict(),
@@ -357,7 +337,6 @@ class _FleetRequest:
         return FleetRunner(
             self.fleet,
             workers=self.workers,
-            backend=self.backend,
             survival_buckets=self.survival_buckets,
             keep_vehicle_rows=self.keep_vehicle_rows,
             record_interval_s=self.record_interval_s,
@@ -469,7 +448,6 @@ class JobManager:
         store: a :class:`~repro.serve.store.ResultStore` (in-memory one
             created when omitted).
         workers: default engine pool width for requests that omit it.
-        backend: default engine backend for requests that omit it.
         job_workers: how many jobs run concurrently (each job may itself
             fan out over engine workers).
         checkpoint_root: directory under which fleet jobs journal their
@@ -483,7 +461,6 @@ class JobManager:
         evaluator_capacity: int = 8,
         store: ResultStore | None = None,
         workers: int | None = None,
-        backend: str = "thread",
         job_workers: int = 1,
         checkpoint_root: str | Path | None = None,
     ) -> None:
@@ -498,7 +475,6 @@ class JobManager:
         )
         self.store = store if store is not None else ResultStore()
         self.default_workers = workers
-        self.default_backend = backend
         self.checkpoint_root = Path(checkpoint_root) if checkpoint_root is not None else None
         self._started = time.monotonic()
         self._jobs: dict[str, Job] = {}
@@ -520,13 +496,13 @@ class JobManager:
 
     def submit_study(self, document: object) -> Job:
         """Validate and enqueue a study request (or answer from the store)."""
-        request = _StudyRequest(document, self.default_workers, self.default_backend)
+        request = _StudyRequest(document, self.default_workers)
         items_total = len(request.build_study())
         return self._admit("study", request, items_total=items_total, chunks_total=None)
 
     def submit_fleet(self, document: object) -> Job:
         """Validate and enqueue a fleet request (or answer from the store)."""
-        request = _FleetRequest(document, self.default_workers, self.default_backend)
+        request = _FleetRequest(document, self.default_workers)
         return self._admit(
             "fleet",
             request,
@@ -649,7 +625,6 @@ class JobManager:
         result = study.run(
             request.analysis,
             workers=request.workers,
-            backend=request.backend,
             progress=job._observe,
         )
         self._finish(job, study_result_document(result), partial=False)

@@ -5,7 +5,7 @@ of the spec document plus the result-shaping runner parameters (seed,
 record interval, survival buckets, ...), hashed through
 :mod:`repro.digest` — the same canonical-digest discipline checkpoint
 manifests and run-package ids use.  Execution-only parameters (workers,
-backend) are deliberately *excluded* from the key: the engine's
+retries) are deliberately *excluded* from the key: the engine's
 row-identity contract makes them non-result-shaping, so a request run on
 8 process workers hits the entry stored by a sequential run.
 

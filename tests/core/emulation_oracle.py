@@ -15,7 +15,7 @@ import dataclasses
 
 import numpy as np
 
-from repro.core.emulator import EmulationResult
+from repro.core.emulator import EmulationResult, SampleLog
 from repro.core.quantize import (
     speed_bin,
     speed_bin_center_kmh,
@@ -97,6 +97,8 @@ def oracle(emulator, cycle, record_interval_s=1.0, trace_window=None, idle_step_
         return evaluator.standstill_power_w(base.at_speed(0.0).at_temperature(center))
 
     columns = {name: [] for name in ("round", "duration", "harvest", "banked", "drawn", "withdrew")}
+    # time, speed, temperature, state of charge, active — one row per sample.
+    log_columns: tuple[list, ...] = ([], [], [], [], [])
     trace = PowerTrace() if trace_window is not None else None
     result = EmulationResult(node.name, cycle.name, cycle.duration_s)
     active = not storage.is_depleted
@@ -132,13 +134,15 @@ def oracle(emulator, cycle, record_interval_s=1.0, trace_window=None, idle_step_
         for name, value in zip(columns, (is_round, duration, harvest, banked, drawn, withdrew)):
             columns[name].append(value)
         while next_record_s <= unit.end_s:
-            result.log.append(
+            sample = (
                 next_record_s,
                 speed,
                 temperature,
                 storage.charge_j / storage.capacity_j,
                 active,
             )
+            for column, value in zip(log_columns, sample):
+                column.append(value)
             next_record_s += record_interval_s
         if trace is not None and unit.start_s < trace_window[1] and unit.end_s > trace_window[0]:
             sleep_w = standstill(temperature)
@@ -168,6 +172,7 @@ def oracle(emulator, cycle, record_interval_s=1.0, trace_window=None, idle_step_
     result.active_revolutions = int((is_round & withdrew).sum())
     result.active_time_s = float(durations[withdrew].sum())
     result.brownout_events = brownouts
+    result.log = SampleLog.from_columns(*log_columns)
     if trace is not None:
         result.trace = trace.windowed(*trace_window) if not trace.is_empty else trace
     return result, storage

@@ -26,6 +26,37 @@ from repro.errors import AnalysisError, ConfigurationError
 RTOL = 1e-9
 
 
+def _nominal(speed: float) -> OperatingPoint:
+    return OperatingPoint(speed_kmh=speed)
+
+
+def scalar_curve_points(analysis, speeds, point_factory=_nominal):
+    """The Fig. 2 curve from the scalar oracle: one ``balance_at`` per speed."""
+    return [analysis.balance_at(point_factory(float(speed))) for speed in speeds]
+
+
+def bisect_break_even(
+    analysis, low_kmh=5.0, high_kmh=200.0, tolerance_kmh=0.1, point_factory=_nominal
+):
+    """Break-even speed by scalar bisection over ``balance_at`` margins."""
+
+    def margin(speed: float) -> float:
+        return analysis.balance_at(point_factory(speed)).margin_j
+
+    if margin(low_kmh) >= 0.0:
+        return low_kmh
+    if margin(high_kmh) < 0.0:
+        return None
+    low, high = low_kmh, high_kmh
+    while high - low > tolerance_kmh:
+        middle = 0.5 * (low + high)
+        if margin(middle) >= 0.0:
+            high = middle
+        else:
+            low = middle
+    return 0.5 * (low + high)
+
+
 def sweep_points() -> list[OperatingPoint]:
     """Speeds x temperatures x supply corners x process corners."""
     points = []
@@ -182,33 +213,35 @@ class TestBalanceBatchEquivalence:
 
     def test_curve_matches_scalar_curve(self, analysis):
         speeds = list(range(10, 200, 10))
-        batched = analysis.curve(speeds, use_batch=True)
-        scalar = analysis.curve(speeds, use_batch=False)
-        for a, b in zip(batched.points, scalar.points):
+        batched = analysis.curve(speeds)
+        scalar = scalar_curve_points(analysis, speeds)
+        assert len(batched.points) == len(scalar)
+        for a, b in zip(batched.points, scalar):
             assert a.speed_kmh == b.speed_kmh
             assert a.required_j == pytest.approx(b.required_j, rel=RTOL)
             assert a.generated_j == pytest.approx(b.generated_j, rel=RTOL)
 
     def test_break_even_matches_bisection(self, analysis):
-        batched = analysis.break_even_speed_kmh(use_batch=True)
-        bisected = analysis.break_even_speed_kmh(use_batch=False)
+        batched = analysis.break_even_speed_kmh(tolerance_kmh=0.1)
+        bisected = bisect_break_even(analysis, tolerance_kmh=0.1)
         assert batched is not None and bisected is not None
-        # Both are midpoints of brackets no wider than the 0.1 km/h tolerance.
-        assert batched == pytest.approx(bisected, abs=0.2)
+        # Both are midpoints of brackets no wider than the 0.1 km/h tolerance
+        # around the same crossing.
+        assert batched == pytest.approx(bisected, abs=0.1)
 
     def test_surplus_at_low_bound_returns_before_touching_high_bound(
         self, node, database, scavenger
     ):
         """A node in surplus at low_kmh must not evaluate the (possibly
-        schedule-infeasible) high bound — same order as the scalar path."""
+        schedule-infeasible) high bound — same order as the scalar bisection."""
         oversized = EnergyBalanceAnalysis(node, database, scavenger.scaled(10000.0))
-        assert oversized.break_even_speed_kmh(high_kmh=1000.0, use_batch=True) == 5.0
-        assert oversized.break_even_speed_kmh(high_kmh=1000.0, use_batch=False) == 5.0
+        assert oversized.break_even_speed_kmh(high_kmh=1000.0) == 5.0
+        assert bisect_break_even(oversized, high_kmh=1000.0) == 5.0
 
     def test_break_even_none_cases_agree(self, node, database, scavenger):
         starved = EnergyBalanceAnalysis(node, database, scavenger.scaled(1e-6))
-        assert starved.break_even_speed_kmh(use_batch=True) is None
-        assert starved.break_even_speed_kmh(use_batch=False) is None
+        assert starved.break_even_speed_kmh() is None
+        assert bisect_break_even(starved) is None
 
     def test_margins_sweep_matches_balance_at(self, analysis):
         speeds = [20.0, 60.0, 140.0]
@@ -250,9 +283,9 @@ class TestStalenessAndRemapping:
         def factory(speed):
             return OperatingPoint(speed_kmh=1.05 * speed)
         speeds = [20.0, 60.0, 120.0]
-        batched = analysis.curve(speeds, point_factory=factory, use_batch=True)
-        scalar = analysis.curve(speeds, point_factory=factory, use_batch=False)
-        for a, b in zip(batched.points, scalar.points):
+        batched = analysis.curve(speeds, point_factory=factory)
+        scalar = scalar_curve_points(analysis, speeds, point_factory=factory)
+        for a, b in zip(batched.points, scalar):
             assert a.speed_kmh == b.speed_kmh
             assert a.generated_j == pytest.approx(b.generated_j, rel=RTOL)
             assert a.required_j == pytest.approx(b.required_j, rel=RTOL)

@@ -63,7 +63,7 @@ class TestSamplesAndState:
     ):
         emulator = make_emulator(node, database, scavenger, storage)
         result = emulator.emulate(constant_cruise(80.0, duration_s=30.0), record_interval_s=1.0)
-        assert 29 <= len(result.samples) <= 32
+        assert 29 <= result.sample_count <= 32
 
     def test_sample_arrays_are_parallel(self, node, database, scavenger, storage):
         emulator = make_emulator(node, database, scavenger, storage)

@@ -3,8 +3,7 @@
 The emulator keeps its revolution-energy and standstill-power caches warm
 across ``emulate()`` runs (the evaluator and database are fixed per
 instance).  Reusing cached values must not change any ``EmulationResult``
-totals, and the columnar :class:`SampleLog` must behave exactly like the old
-list-of-dataclasses sample storage.
+totals, and the columnar :class:`SampleLog` hands out read-only views.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.conditions.temperature import TyreThermalModel
-from repro.core.emulator import EmulationResult, EmulationSample, NodeEmulator, SampleLog
+from repro.core.emulator import EmulationResult, NodeEmulator, SampleLog
 from repro.scavenger.storage import supercapacitor
 from repro.vehicle.drive_cycle import constant_cruise, urban_cycle
 
@@ -236,64 +235,13 @@ class TestCacheReuse:
 
 
 class TestSampleLog:
-    def test_append_and_grow(self):
-        log = SampleLog(capacity=2)
-        for i in range(100):
-            log.append(float(i), 50.0, 25.0, 0.5, i % 2 == 0)
-        assert len(log) == 100
-        arrays = log.arrays()
-        assert arrays["time_s"].shape == (100,)
-        assert arrays["time_s"][99] == 99.0
-        assert bool(arrays["node_active"][0]) is True
-        assert bool(arrays["node_active"][1]) is False
-
     def test_arrays_are_views_not_copies(self):
-        log = SampleLog()
-        log.append(0.0, 10.0, 20.0, 0.9, True)
+        log = SampleLog.from_columns([0.0], [10.0], [20.0], [0.9], [True])
+        assert len(log) == 1
         arrays = log.arrays()
         assert arrays["speed_kmh"].base is not None
-
-    def test_roundtrip_through_samples(self):
-        samples = [
-            EmulationSample(
-                time_s=float(i),
-                speed_kmh=30.0 + i,
-                temperature_c=25.0,
-                state_of_charge=0.1 * i,
-                node_active=bool(i % 2),
-            )
-            for i in range(5)
-        ]
-        log = SampleLog.from_samples(samples)
-        assert log.to_samples() == samples
-
-    def test_result_samples_property_roundtrip(self):
-        result = EmulationResult(node_name="n", cycle_name="c", duration_s=3.0)
-        result.log.append(0.0, 50.0, 25.0, 0.5, True)
-        assert result.sample_count == 1
-        rows = result.samples
-        assert rows[0].speed_kmh == 50.0
-        result.samples = []
-        assert result.sample_count == 0
-
-    def test_constructor_accepts_sample_list(self):
-        sample = EmulationSample(
-            time_s=0.0,
-            speed_kmh=50.0,
-            temperature_c=25.0,
-            state_of_charge=0.5,
-            node_active=True,
-        )
-        result = EmulationResult(
-            node_name="n", cycle_name="c", duration_s=1.0, samples=[sample]
-        )
-        assert result.samples == (sample,)
-
-    def test_in_place_mutation_fails_loudly(self):
-        """The compat view is a tuple: appending to it must not silently no-op."""
-        result = EmulationResult(node_name="n", cycle_name="c", duration_s=1.0)
-        with pytest.raises(AttributeError):
-            result.samples.append("nope")
+        with pytest.raises(ValueError):
+            arrays["speed_kmh"][0] = 0.0
 
 
 class TestErrorTiming:

@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.conditions.operating_point import OperatingPoint
 from repro.core.evaluator import EnergyEvaluator
 from repro.errors import AnalysisError
@@ -140,3 +147,59 @@ class TestDerivedFigures:
     def test_duty_cycles_report_covers_all_blocks(self, evaluator, point, node):
         report = evaluator.duty_cycles(point)
         assert set(report.blocks) == set(node.block_names())
+
+
+#: Holds the census-timing lock in one thread while the main thread runs a
+#: 4-point ``balance`` study on a 2-process pool, so the pool forks while
+#: the lock is held.
+_HELD_LOCK_STUDY = """
+import threading
+import time
+
+from repro.core import evaluator
+from repro.scenario.spec import ScenarioSpec
+from repro.scenario.study import Study
+
+held = threading.Event()
+
+
+def hold():
+    with evaluator._CENSUS_TIMING_LOCK:
+        held.set()
+        time.sleep(1.0)
+
+
+threading.Thread(target=hold).start()
+held.wait()
+spec = ScenarioSpec(name="fork-lock")
+axes = {"temperature": [-20.0, 0.0, 25.0, 85.0]}
+result = Study(spec, axes=axes).run("balance", workers=2)
+assert result.metadata["backend"] == "process", result.metadata["backend"]
+assert result.rows == Study(spec, axes=axes).run("balance").rows
+print("ok")
+"""
+
+
+class TestForkSafety:
+    def test_forked_workers_never_inherit_a_held_census_lock(self):
+        """A pool forked while another thread holds the census lock must not
+        hang: the fork hooks hold the lock across the fork, so every child
+        starts with it free."""
+        env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])}
+        # A new session, so a hung run's orphan workers die with the group.
+        process = subprocess.Popen(
+            [sys.executable, "-c", _HELD_LOCK_STUDY],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=True,
+        )
+        try:
+            out, err = process.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(process.pid, signal.SIGKILL)
+            process.communicate()
+            pytest.fail("the study hung: a forked worker inherited the held census lock")
+        assert process.returncode == 0, err
+        assert out.strip() == "ok"

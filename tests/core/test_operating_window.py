@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.emulator import EmulationResult, EmulationSample, NodeEmulator
+from repro.core.emulator import EmulationResult, NodeEmulator, SampleLog
 from repro.core.operating_window import (
     OperatingWindow,
     OperatingWindowSummary,
@@ -18,22 +18,20 @@ from repro.vehicle.drive_cycle import constant_cruise
 
 def synthetic_result(active_pattern, dt_s=1.0) -> EmulationResult:
     """Build an emulation result with a given per-second activity pattern."""
-    samples = [
-        EmulationSample(
-            time_s=index * dt_s,
-            speed_kmh=50.0,
-            temperature_c=25.0,
-            state_of_charge=0.5,
-            node_active=bool(active),
-        )
-        for index, active in enumerate(active_pattern)
-    ]
-    return EmulationResult(
+    count = len(active_pattern)
+    result = EmulationResult(
         node_name="synthetic",
         cycle_name="synthetic",
-        duration_s=len(active_pattern) * dt_s,
-        samples=samples,
+        duration_s=count * dt_s,
     )
+    result.log = SampleLog.from_columns(
+        [index * dt_s for index in range(count)],
+        [50.0] * count,
+        [25.0] * count,
+        [0.5] * count,
+        [bool(active) for active in active_pattern],
+    )
+    return result
 
 
 class TestOperatingWindow:
@@ -82,7 +80,7 @@ class TestFindWindows:
 
     def test_no_samples_raises(self):
         result = synthetic_result([1])
-        result.samples = []
+        result.log = SampleLog()
         with pytest.raises(AnalysisError):
             find_operating_windows(result)
 

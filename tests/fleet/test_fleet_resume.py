@@ -58,16 +58,17 @@ class TestResume:
         ckpt = str(tmp_path / "ckpt")
         FleetRunner(_fleet(), checkpoint=ckpt).run()
         replayed = FleetRunner(_fleet(), checkpoint=ckpt).run()
-        assert replayed.metadata["engine_backend"] == "resumed"
+        assert replayed.metadata["backend"] == "resumed"
         assert replayed.metadata["resumed_chunks"] == 3
         assert _digest(replayed) == _digest(fresh_result)
 
     def test_resume_across_worker_settings_is_byte_identical(self, tmp_path, fresh_result):
-        # The journal carries results, not scheduling: finishing on a thread
+        # The journal carries results, not scheduling: finishing on a process
         # pool what a sequential run started changes nothing.
         ckpt = str(tmp_path / "ckpt")
         FleetRunner(_fleet(), checkpoint=ckpt, max_chunks=1).run()
-        resumed = FleetRunner(_fleet(), workers=4, checkpoint=ckpt).run()
+        resumed = FleetRunner(_fleet(), workers=2, checkpoint=ckpt).run()
+        assert resumed.metadata["backend"] == "process"
         assert _digest(resumed) == _digest(fresh_result)
 
     def test_checkpointed_first_run_is_byte_identical_to_plain(self, tmp_path, fresh_result):

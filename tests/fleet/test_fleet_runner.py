@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -35,10 +37,6 @@ class TestValidation:
     def test_invalid_workers_rejected(self):
         with pytest.raises(ConfigError, match="workers"):
             FleetRunner(_fleet(), workers=0)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigError, match="backend"):
-            FleetRunner(_fleet(), backend="gpu")
 
     def test_invalid_record_interval_rejected(self):
         with pytest.raises(ConfigError, match="record interval"):
@@ -129,14 +127,9 @@ class TestCorrectness:
 
 
 class TestDeterminism:
-    def test_thread_workers_identical_aggregates(self, sequential_result):
-        parallel = FleetRunner(_fleet(), workers=4).run()
-        assert parallel.summary == sequential_result.summary
-        assert parallel.survival == sequential_result.survival
-        assert parallel.vehicle_rows == sequential_result.vehicle_rows
-
     def test_process_backend_identical_aggregates(self, sequential_result):
-        process = FleetRunner(_fleet(), workers=2, backend="process").run()
+        process = FleetRunner(_fleet(), workers=2).run()
+        assert process.metadata["backend"] == "process"
         assert process.summary == sequential_result.summary
         assert process.survival == sequential_result.survival
         assert process.vehicle_rows == sequential_result.vehicle_rows
@@ -155,10 +148,56 @@ class TestDeterminism:
         identical whatever worker count executes them."""
         fleet = _fleet(vehicles=200, seed=13)
         sequential = FleetRunner(fleet, keep_vehicle_rows=False).run()
-        threaded = FleetRunner(fleet, workers=4, keep_vehicle_rows=False).run()
-        assert threaded.summary == sequential.summary
-        assert threaded.survival == sequential.survival
+        parallel = FleetRunner(fleet, workers=2, keep_vehicle_rows=False).run()
+        assert parallel.summary == sequential.summary
+        assert parallel.survival == sequential.survival
         assert sequential.summary["vehicles"] == 200
+
+
+class TestConcurrentRuns:
+    def test_concurrent_pool_runs_keep_their_own_cohort_tables(self):
+        """Run B starts (and stashes its shared state) between two chunks of
+        pool run A.  B's idle step differs, so its cohort tables differ under
+        the same cohort keys; each run's pools must still fork with its own."""
+        fleet = _fleet(vehicles=40, seed=3).with_population(chunk_vehicles=10)
+        expected_a = FleetRunner(fleet).run().vehicle_rows
+        expected_b = FleetRunner(fleet, idle_step_s=5.0).run().vehicle_rows
+        b_stashed = threading.Event()
+        a_done = threading.Event()
+        b_results: list = []
+        b_threads: list[threading.Thread] = []
+
+        def b_should_stop() -> bool:
+            # B has stashed by the time it polls; its first chunk waits for A.
+            b_stashed.set()
+            a_done.wait(timeout=120)
+            return False
+
+        def run_b() -> None:
+            runner = FleetRunner(fleet, workers=2, idle_step_s=5.0, should_stop=b_should_stop)
+            b_results.append(runner.run())
+
+        polls: list[int] = []
+
+        def a_should_stop() -> bool:
+            polls.append(len(polls))
+            if len(polls) == 2:  # before A's second chunk
+                thread = threading.Thread(target=run_b, daemon=True)
+                thread.start()
+                b_threads.append(thread)
+                assert b_stashed.wait(timeout=120)
+            return False
+
+        try:
+            result = FleetRunner(fleet, workers=2, should_stop=a_should_stop).run()
+        finally:
+            a_done.set()
+            for thread in b_threads:
+                thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in b_threads)
+        assert result.metadata["backend"] == "process"
+        assert result.vehicle_rows == expected_a
+        assert [b.vehicle_rows for b in b_results] == [expected_b]
 
 
 class TestResultSurface:
@@ -191,12 +230,14 @@ class TestResultSurface:
         assert isinstance(result, FleetResult)
         assert len(result) == 3
         assert result.metadata["workers"] == 2
+        assert result.metadata["backend"] == "process"
 
     def test_metadata_records_the_run(self, sequential_result):
         metadata = sequential_result.metadata
         assert metadata["kind"] == "fleet"
         assert metadata["vehicles"] == 10
-        assert metadata["backend"] == "thread"
+        assert metadata["backend"] == "sequential"
+        assert "engine_backend" not in metadata
         assert metadata["wall_time_s"] > 0.0
         assert len(metadata["vehicle_wall_times_s"]) == 10
         assert metadata["fleet_document"]["vehicles"] == 10

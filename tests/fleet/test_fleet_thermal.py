@@ -5,7 +5,7 @@ cycle materialization replays the tyre thermal model once per
 (cycle, speed-scale, ambient-bin) cohort and the cross-vehicle bin-union
 sweep spans (speed, temperature, phase-pattern) triples — yet every
 per-vehicle figure is bitwise identical to a naive ``emulate()`` with the
-same thermal model, across worker counts and backends.
+same thermal model, across worker counts.
 """
 
 from __future__ import annotations
@@ -168,12 +168,9 @@ class TestBitIdentity:
             for key, value in summary.items():
                 assert row[key] == value, f"fleet row diverged on {key!r}"
 
-    def test_threaded_rows_identical(self, thermal_fleet, sequential_result):
-        threaded = FleetRunner(thermal_fleet, workers=2, backend="thread").run()
-        assert threaded.vehicle_rows == sequential_result.vehicle_rows
-
     def test_process_rows_identical(self, thermal_fleet, sequential_result):
-        processed = FleetRunner(thermal_fleet, workers=2, backend="process").run()
+        processed = FleetRunner(thermal_fleet, workers=2).run()
+        assert processed.metadata["backend"] == "process"
         assert processed.vehicle_rows == sequential_result.vehicle_rows
 
     def test_forced_fallback_rows_identical(self, thermal_fleet, naive_reference):

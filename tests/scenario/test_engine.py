@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import threading
-
 import pytest
 
 from repro.errors import ConfigError
@@ -11,9 +9,40 @@ from repro.scenario.engine import ChunkedEngine, EngineReport
 
 
 def _square_worker(payload):
-    """Module-level (picklable) process worker used by the backend tests."""
+    """Module-level (picklable) process worker used by the pool tests."""
     base, offset = payload
     return base * base + offset
+
+
+def _pool(kernel):
+    """``run`` keyword arguments shipping each item as-is to ``kernel``."""
+    return {"process_worker": kernel, "process_payload": lambda item: item}
+
+
+def _double(item):
+    return item * 2
+
+
+#: Per-worker-process call counts of :func:`_flaky_worker`, keyed by
+#: (test token, item).  Retries run inside the worker that got the item, so
+#: the count there is the item's attempt number.
+_FLAKY_CALLS: dict = {}
+
+
+def _flaky_worker(payload):
+    """Fail the first ``fail_times`` attempts at each item, then double it."""
+    token, item, fail_times = payload
+    count = _FLAKY_CALLS.get((token, item), 0) + 1
+    _FLAKY_CALLS[(token, item)] = count
+    if count <= fail_times:
+        raise ValueError(f"transient failure {count} on {item}")
+    return item * 2
+
+
+def _poisoned_worker(item):
+    if item == 2:
+        raise RuntimeError("poisoned item")
+    return item
 
 
 class TestValidation:
@@ -22,17 +51,13 @@ class TestValidation:
         with pytest.raises(ConfigError, match="workers"):
             ChunkedEngine(workers=bad)
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigError, match="backend"):
-            ChunkedEngine(backend="quantum")
-
     @pytest.mark.parametrize("bad", [0, -3, 2.0, False])
     def test_invalid_chunk_size_rejected(self, bad):
         with pytest.raises(ConfigError, match="chunk_size"):
             ChunkedEngine(chunk_size=bad)
 
     def test_process_backend_requires_worker_and_payload(self):
-        engine = ChunkedEngine(workers=2, backend="process")
+        engine = ChunkedEngine(workers=2)
         with pytest.raises(ConfigError, match="process_worker"):
             engine.run([1, 2, 3], kernel=lambda x: x, sink=lambda i, r: None)
 
@@ -49,13 +74,17 @@ class TestSequential:
         assert len(report.item_wall_times_s) == 5
 
     def test_single_item_never_starts_a_pool(self):
-        report = ChunkedEngine(workers=8).run([7], lambda item: item, lambda i, r: None)
+        report = ChunkedEngine(workers=8).run(
+            [7], lambda item: item, lambda i, r: None, **_pool(_double)
+        )
         assert report.backend == "sequential"
         assert report.workers == 1
 
     def test_empty_items(self):
         rows = []
-        report = ChunkedEngine(workers=4).run([], lambda item: item, lambda i, r: rows.append(r))
+        report = ChunkedEngine(workers=4).run(
+            [], lambda item: item, lambda i, r: rows.append(r), **_pool(_double)
+        )
         assert rows == []
         assert report.items == 0
         assert report.item_wall_times_s == ()
@@ -67,67 +96,13 @@ class TestSequential:
             report.items = 99
 
 
-class TestThreadBackend:
-    def test_order_preserved_and_identical_to_sequential(self):
-        items = list(range(40))
-        sequential = []
-        ChunkedEngine().run(items, lambda x: x * x, lambda i, r: sequential.append(r))
-        parallel = []
-        report = ChunkedEngine(workers=4).run(
-            items, lambda x: x * x, lambda i, r: parallel.append(r)
-        )
-        assert parallel == sequential
-        assert report.backend == "thread"
-        assert report.workers == 4
-
-    def test_kernel_actually_runs_on_worker_threads(self):
-        seen = set()
-
-        def kernel(item):
-            seen.add(threading.current_thread().name)
-            return item
-
-        ChunkedEngine(workers=3).run(range(30), kernel, lambda i, r: None)
-        assert all("MainThread" != name for name in seen)
-
-    def test_chunking_streams_between_chunks(self):
-        # chunk span = chunk_size * workers = 4: the sink must have received
-        # the whole first chunk before the last item is computed.
-        order = []
-
-        def kernel(item):
-            order.append(("run", item))
-            return item
-
-        def sink(index, result):
-            order.append(("sink", result))
-
-        ChunkedEngine(workers=2, chunk_size=2).run(range(8), kernel, sink)
-        first_sink = order.index(("sink", 0))
-        assert ("run", 7) not in order[:first_sink]
-        assert [entry for entry in order if entry[0] == "sink"] == [
-            ("sink", i) for i in range(8)
-        ]
-
-    def test_items_may_be_a_lazy_iterator(self):
-        def generate():
-            yield from range(25)
-
-        received = []
-        report = ChunkedEngine(workers=4, chunk_size=2).run(
-            generate(), lambda x: x + 1, lambda i, r: received.append(r)
-        )
-        assert received == list(range(1, 26))
-        assert report.items == 25
-
-
 class TestProcessBackend:
     def test_rows_match_sequential(self):
         items = list(range(12))
         sequential = []
         ChunkedEngine().run(items, lambda x: x * x + 1, lambda i, r: sequential.append(r))
         parallel = []
-        report = ChunkedEngine(workers=2, backend="process").run(
+        report = ChunkedEngine(workers=2).run(
             items,
             kernel=lambda x: x * x + 1,
             sink=lambda i, r: parallel.append(r),
@@ -136,7 +111,41 @@ class TestProcessBackend:
         )
         assert parallel == sequential
         assert report.backend == "process"
+        assert report.workers == 2
         assert all(elapsed > 0.0 for elapsed in report.item_wall_times_s)
+
+    def test_chunking_streams_between_chunks(self):
+        # window = chunk_size * workers = 4: only the first four payloads are
+        # built before the first result reaches the sink, and results still
+        # stream in input order.
+        order = []
+
+        def payload(item):
+            order.append(("submit", item))
+            return item
+
+        def sink(index, result):
+            order.append(("sink", result))
+
+        ChunkedEngine(workers=2, chunk_size=2).run(
+            range(8), _double, sink, process_worker=_double, process_payload=payload
+        )
+        first_sink = order.index(("sink", 0))
+        assert order[:first_sink] == [("submit", i) for i in range(4)]
+        assert [entry for entry in order if entry[0] == "sink"] == [
+            ("sink", 2 * i) for i in range(8)
+        ]
+
+    def test_items_may_be_a_lazy_iterator(self):
+        def generate():
+            yield from range(25)
+
+        received = []
+        report = ChunkedEngine(workers=2, chunk_size=2).run(
+            generate(), _double, lambda i, r: received.append(r), **_pool(_double)
+        )
+        assert received == [2 * i for i in range(25)]
+        assert report.items == 25
 
     def test_single_item_process_run_uses_the_kernel_in_process(self):
         # One item degrades to sequential: the in-process kernel runs, the
@@ -145,7 +154,7 @@ class TestProcessBackend:
             raise AssertionError("payload built for a sequential run")
 
         rows = []
-        report = ChunkedEngine(workers=4, backend="process").run(
+        report = ChunkedEngine(workers=4).run(
             [3],
             kernel=lambda x: x + 1,
             sink=lambda i, r: rows.append(r),
@@ -162,12 +171,10 @@ class _Flaky:
     def __init__(self, fail_times: int):
         self.fail_times = fail_times
         self.calls: dict[object, int] = {}
-        self.lock = threading.Lock()
 
     def __call__(self, item):
-        with self.lock:
-            count = self.calls.get(item, 0) + 1
-            self.calls[item] = count
+        count = self.calls.get(item, 0) + 1
+        self.calls[item] = count
         if count <= self.fail_times:
             raise ValueError(f"transient failure {count} on {item}")
         return item * 2
@@ -188,7 +195,11 @@ class TestRetries:
         kernel = _Flaky(fail_times=2)
         received = []
         report = ChunkedEngine(workers=workers, retries=2, retry_backoff_s=0.0).run(
-            range(5), kernel, lambda i, r: received.append((i, r))
+            range(5),
+            kernel,
+            lambda i, r: received.append((i, r)),
+            process_worker=_flaky_worker,
+            process_payload=lambda item: ("retried-to-success", item, 2),
         )
         assert received == [(i, i * 2) for i in range(5)]
         assert report.failures == ()
@@ -210,15 +221,15 @@ class TestRetries:
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_collect_mode_skips_failed_items_and_records_them(self, workers):
-        def kernel(item):
-            if item == 2:
-                raise RuntimeError("poisoned item")
-            return item
-
         received = []
         report = ChunkedEngine(
             workers=workers, retries=1, retry_backoff_s=0.0, failure_mode="collect"
-        ).run(range(5), kernel, lambda i, r: received.append((i, r)))
+        ).run(
+            range(5),
+            _poisoned_worker,
+            lambda i, r: received.append((i, r)),
+            **_pool(_poisoned_worker),
+        )
         assert received == [(0, 0), (1, 1), (3, 3), (4, 4)]
         assert len(report.failures) == 1
         failure = report.failures[0]

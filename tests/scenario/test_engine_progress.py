@@ -24,10 +24,17 @@ class TestRunProgress:
             {"event": "item", "items_done": 3, "failures": 0},
         ]
 
-    def test_thread_item_events_are_ordered(self):
+    def test_process_item_events_are_ordered(self):
         events = []
-        engine = ChunkedEngine(workers=4)
-        engine.run(range(20), _square, lambda i, r: None, progress=events.append)
+        engine = ChunkedEngine(workers=2)
+        engine.run(
+            range(20),
+            _square,
+            lambda i, r: None,
+            process_worker=_square,
+            process_payload=lambda item: item,
+            progress=events.append,
+        )
         assert [event["items_done"] for event in events] == list(range(1, 21))
         assert {event["event"] for event in events} == {"item"}
 

@@ -120,7 +120,7 @@ class TestWorkerDeath:
     def test_pool_rebuilt_and_run_completed_within_budget(self, tmp_path):
         flag = str(tmp_path / "died.flag")
         received = []
-        report = ChunkedEngine(workers=2, backend="process", retries=1).run(
+        report = ChunkedEngine(workers=2, retries=1).run(
             range(10),
             kernel=lambda x: x * 2,
             sink=lambda i, r: received.append((i, r)),
@@ -136,7 +136,7 @@ class TestWorkerDeath:
     def test_without_retries_death_is_a_structured_engine_error(self, tmp_path):
         flag = str(tmp_path / "never-written-twice.flag")
         with pytest.raises(EngineError, match=r"process worker died while running item"):
-            ChunkedEngine(workers=2, backend="process").run(
+            ChunkedEngine(workers=2).run(
                 range(10),
                 kernel=lambda x: x * 2,
                 sink=lambda i, r: None,
@@ -147,7 +147,7 @@ class TestWorkerDeath:
     def test_run_chunks_names_the_failing_chunk(self, tmp_path):
         flag = str(tmp_path / "died.flag")
         with pytest.raises(EngineError, match=r"chunk 1: process worker died"):
-            ChunkedEngine(workers=2, backend="process").run_chunks(
+            ChunkedEngine(workers=2).run_chunks(
                 [[0, 1, 2], [3, 4, 5, 6, 7], [8, 9]],
                 kernel=lambda x: x * 2,
                 sink=lambda i, r: None,
@@ -166,7 +166,7 @@ class TestWorkerDeath:
         store = CheckpointStore(tmp_path / "ckpt", key)
         partial = []
         with pytest.raises(EngineError, match="chunk 1"):
-            ChunkedEngine(workers=2, backend="process").run_chunks(
+            ChunkedEngine(workers=2).run_chunks(
                 chunks,
                 kernel=lambda x: x * 2,
                 sink=lambda i, r: partial.append((i, r)),
@@ -179,7 +179,7 @@ class TestWorkerDeath:
         # Resume: chunk 0 replays, the rest computes (the flag file makes the
         # worker survive now) — the combined stream equals a clean run.
         resumed = []
-        report = ChunkedEngine(workers=2, backend="process").run_chunks(
+        report = ChunkedEngine(workers=2).run_chunks(
             chunks,
             kernel=lambda x: x * 2,
             sink=lambda i, r: resumed.append((i, r)),

@@ -240,7 +240,7 @@ class TestStudyResult:
 class TestParallelExecution:
     """Study.run(workers=N): identical rows, deterministic order, shared caches."""
 
-    @pytest.mark.parametrize("kind", ["balance", "report", "montecarlo"])
+    @pytest.mark.parametrize("kind", ["balance", "report", "montecarlo", "explore"])
     def test_workers_match_sequential_rows(self, kind):
         spec = ScenarioSpec(name="parallel")
         axes = {
@@ -248,9 +248,10 @@ class TestParallelExecution:
             "architecture": ["baseline", "optimized"],
         }
         sequential = Study(spec, axes=axes).run(kind)
-        parallel = Study(spec, axes=axes).run(kind, workers=4)
+        parallel = Study(spec, axes=axes).run(kind, workers=2)
         assert parallel.rows == sequential.rows
         assert parallel.axes == sequential.axes
+        assert parallel.metadata["backend"] == "process"
 
     def test_workers_match_sequential_emulate(self):
         spec = ScenarioSpec(drive_cycle={"name": "urban", "params": {"repetitions": 1}})
@@ -260,13 +261,15 @@ class TestParallelExecution:
         assert parallel.rows == sequential.rows
 
     def test_workers_share_the_evaluator_cache(self):
+        # The parent counts its own builds, so the sharing is observable on
+        # the in-process path (a pool builds in its workers, see below).
         spec = ScenarioSpec(name="shared")
         axes = {"temperature": [-20.0, 0.0, 25.0, 50.0, 85.0]}
-        result = Study(spec, axes=axes).run("report", workers=4)
+        result = Study(spec, axes=axes).run("report", workers=1)
         metadata = result.metadata
         assert metadata["evaluator_builds"] == 1
         assert metadata["evaluator_cache_hits"] == 4
-        assert metadata["workers"] == 4
+        assert metadata["workers"] == 1
 
     def test_invalid_workers_rejected(self):
         study = Study(ScenarioSpec())
@@ -277,25 +280,22 @@ class TestParallelExecution:
     def test_single_worker_is_sequential(self):
         result = Study(ScenarioSpec()).run("report", workers=1)
         assert result.metadata["workers"] == 1
+        assert result.metadata["backend"] == "sequential"
 
 
 class TestProcessBackend:
-    """Study.run(backend="process"): rows identical, spec shipped as JSON."""
-
-    def test_default_backend_is_thread(self):
-        result = Study(ScenarioSpec()).run("report")
-        assert result.metadata["backend"] == "thread"
+    """Study.run(workers=N) on the process pool: rows identical, spec shipped as JSON."""
 
     @pytest.mark.parametrize("kind", ["balance", "optimize", "montecarlo"])
     def test_process_rows_match_sequential(self, kind):
         spec = ScenarioSpec(name="proc")
         axes = {"temperature": [-20.0, 25.0, 85.0]}
         sequential = Study(spec, axes=axes).run(kind)
-        process = Study(spec, axes=axes).run(kind, workers=3, backend="process")
+        process = Study(spec, axes=axes).run(kind, workers=3)
         assert process.rows == sequential.rows
         assert process.metadata["backend"] == "process"
         # Same columns in the same order: the exports must not care which
-        # backend produced the rows.
+        # path produced the rows.
         assert [list(row) for row in process.rows] == [
             list(row) for row in sequential.rows
         ]
@@ -307,15 +307,13 @@ class TestProcessBackend:
         )
         axes = {"temperature": [0.0, 40.0]}
         sequential = Study(spec, axes=axes).run("emulate")
-        process = Study(spec, axes=axes).run("emulate", workers=2, backend="process")
+        process = Study(spec, axes=axes).run("emulate", workers=2)
         assert process.rows == sequential.rows
 
     def test_process_backend_timing_metadata(self):
         spec = ScenarioSpec(name="proc-meta")
         axes = {"temperature": [0.0, 25.0]}
-        metadata = Study(spec, axes=axes).run(
-            "report", workers=2, backend="process"
-        ).metadata
+        metadata = Study(spec, axes=axes).run("report", workers=2).metadata
         assert metadata["workers"] == 2
         assert metadata["wall_time_s"] > 0.0
         assert len(metadata["row_wall_times_s"]) == 2
@@ -323,10 +321,6 @@ class TestProcessBackend:
         # Evaluators are built inside the worker processes, not the parent.
         assert metadata["evaluator_builds"] == 0
         assert metadata["evaluator_cache_hits"] == 0
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigError, match="backend"):
-            Study(ScenarioSpec()).run("report", backend="fork-bomb")
 
     def test_process_workers_see_user_registrations(self):
         """Forked workers inherit register_*-ed components from the parent."""
@@ -343,38 +337,35 @@ class TestProcessBackend:
             )
             axes = {"temperature": [0.0, 25.0]}
             sequential = Study(spec, axes=axes).run("balance")
-            process = Study(spec, axes=axes).run(
-                "balance", workers=2, backend="process"
-            )
+            process = Study(spec, axes=axes).run("balance", workers=2)
             assert process.rows == sequential.rows
         finally:
             SCAVENGERS.unregister("test-study-proc-scavenger")
 
     def test_worker_components_memo_shares_evaluators(self):
         """Within one worker process, equal specs share one evaluator."""
-        from repro.scenario.study import _WORKER_EVALUATORS, _worker_components
+        from repro.scenario.spec import _WORKER_COMPONENTS, worker_components
 
-        _WORKER_EVALUATORS.clear()
+        _WORKER_COMPONENTS.clear()
         try:
             spec = ScenarioSpec(name="memo")
-            first = _worker_components(spec)
-            cold = _worker_components(spec.with_axis("temperature", 85.0))
+            first = worker_components(spec)
+            cold = worker_components(spec.with_axis("temperature", 85.0))
             assert cold is first  # temperature is not part of the evaluator key
-            assert len(_WORKER_EVALUATORS) == 1
-            other = _worker_components(spec.with_axis("architecture", "optimized"))
+            assert len(_WORKER_COMPONENTS) == 1
+            other = worker_components(spec.with_axis("architecture", "optimized"))
             assert other is not first
-            assert len(_WORKER_EVALUATORS) == 2
+            assert len(_WORKER_COMPONENTS) == 2
         finally:
-            _WORKER_EVALUATORS.clear()
+            _WORKER_COMPONENTS.clear()
 
-    def test_run_study_passes_the_backend_through(self):
+    def test_run_study_passes_workers_through(self):
         spec = ScenarioSpec(name="proc-conv")
         result = run_study(
             spec,
             axes={"temperature": [0.0, 25.0]},
             kind="report",
             workers=2,
-            backend="process",
         )
         assert result.metadata["backend"] == "process"
         assert len(result) == 2

@@ -1,7 +1,7 @@
 """Concurrent studies sharing one evaluator LRU and the census-timing cache.
 
 The serving layer runs many ``Study.run`` calls at once — from the job
-manager's worker threads and, transitively, from each study's own engine
+manager's worker threads, each of which may fork its own engine process
 pool.  These tests hammer exactly that sharing surface: N threads, one
 :class:`~repro.serve.EvaluatorLRU`, the module-level census-timing cache
 in :mod:`repro.core.evaluator` — asserting the rows stay identical to a

@@ -70,9 +70,11 @@ class TestRequestValidation:
         with pytest.raises(ConfigError, match="require the 'montecarlo'"):
             manager.submit_study({**STUDY_DOC, "montecarlo": {"samples": 8}})
 
-    def test_process_backend_needs_workers(self, manager):
-        with pytest.raises(ConfigError, match="needs workers greater than 1"):
-            manager.submit_study({**STUDY_DOC, "backend": "process"})
+    def test_backend_is_an_unknown_field(self, manager):
+        with pytest.raises(ConfigError, match=r"unknown fields \['backend'\]"):
+            manager.submit_study({**STUDY_DOC, "workers": 2, "backend": "process"})
+        with pytest.raises(ConfigError, match=r"unknown fields \['backend'\]"):
+            manager.submit_fleet({**FLEET_DOC, "workers": 2, "backend": "process"})
 
     def test_fleet_needs_exactly_one_of_fleet_or_scenario(self, manager):
         with pytest.raises(ConfigError, match="exactly one"):
@@ -92,9 +94,8 @@ class TestRequestValidation:
 class TestStoreKeys:
     def test_execution_plan_does_not_change_the_key(self, manager):
         baseline = manager.submit_study(STUDY_DOC)
-        threaded = manager.submit_study({**STUDY_DOC, "workers": 4})
-        process = manager.submit_study({**STUDY_DOC, "workers": 2, "backend": "process"})
-        assert baseline.digest == threaded.digest == process.digest
+        pooled = manager.submit_study({**STUDY_DOC, "workers": 2})
+        assert baseline.digest == pooled.digest
         fleet_a = manager.submit_fleet(FLEET_DOC)
         fleet_b = manager.submit_fleet({**FLEET_DOC, "workers": 3, "retries": 2})
         assert fleet_a.digest == fleet_b.digest

@@ -153,7 +153,6 @@ class TestServeCommand:
         args = _build_parser().parse_args(["serve", "--port", "0"])
         assert args.command == "serve"
         assert args.port == 0
-        assert args.backend == "thread"
         assert args.cache_size == 8
         assert args.job_workers == 1
         assert args.store_dir is None and args.checkpoint_dir is None
@@ -237,7 +236,7 @@ class TestRunCommand:
         assert "mean_uj_per_rev" in output
         assert "2 worker(s)" in output
 
-    def test_process_backend_matches_thread_backend(self, capsys, scenario_path):
+    def test_process_workers_match_sequential(self, capsys, scenario_path):
         arguments = [
             "run",
             "--scenario",
@@ -246,44 +245,28 @@ class TestRunCommand:
             "report",
             "--set",
             "temperature=0,50",
-            "--workers",
-            "2",
         ]
-        assert main(arguments + ["--backend", "thread"]) == 0
-        thread_out = capsys.readouterr().out
-        assert main(arguments + ["--backend", "process"]) == 0
+        assert main(arguments) == 0
+        sequential_out = capsys.readouterr().out
+        assert main(arguments + ["--workers", "2"]) == 0
         process_out = capsys.readouterr().out
+        assert "sequential backend" in sequential_out
         assert "process backend" in process_out
-        # Identical result tables; only the backend/evaluator summary differs.
+        # Identical result tables; only the path/evaluator summary differs.
         def table(text):
             return text.split("\n\n")[0]
 
-        assert table(process_out) == table(thread_out)
-
-    def test_backend_requires_study_mode(self, capsys, scenario_path):
-        code = main(["run", "--scenario", scenario_path, "--backend", "process"])
-        assert code == 1
-        assert "--backend requires study mode" in capsys.readouterr().err
-
-    def test_process_backend_requires_multiple_workers(self, capsys, scenario_path):
-        """--backend process must not silently run sequentially."""
-        code = main(
-            [
-                "run",
-                "--scenario",
-                scenario_path,
-                "--kind",
-                "report",
-                "--backend",
-                "process",
-            ]
-        )
-        assert code == 1
-        assert "--workers greater than 1" in capsys.readouterr().err
+        assert table(process_out) == table(sequential_out)
 
     def test_unknown_backend_rejected_by_argparse(self, scenario_path):
-        with pytest.raises(SystemExit):
-            main(["run", "--scenario", scenario_path, "--backend", "rocket"])
+        # The pool is picked by --workers alone; no subcommand has --backend.
+        for command in (
+            ["run", "--scenario", scenario_path, "--kind", "report"],
+            ["fleet", "--scenario", scenario_path],
+            ["serve", "--port", "0"],
+        ):
+            with pytest.raises(SystemExit):
+                main(command + ["--workers", "2", "--backend", "process"])
 
     def test_montecarlo_runs_are_reproducible(self, capsys, scenario_path, tmp_path):
         tables, exports = [], []
@@ -590,13 +573,6 @@ class TestFleetCommand:
             capsys,
             ["fleet", "--fleet", fleet_path, "--scenario", scenario_path],
             "exactly one of --fleet or --scenario",
-        )
-
-    def test_process_backend_requires_workers(self, capsys, scenario_path):
-        self._assert_clean_failure(
-            capsys,
-            ["fleet", "--scenario", scenario_path, "--backend", "process"],
-            "--backend process needs --workers",
         )
 
     def test_missing_fleet_file(self, capsys, tmp_path):

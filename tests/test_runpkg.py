@@ -33,10 +33,10 @@ def _write(tmp_path, **overrides):
 
 class TestEnvironmentStamp:
     def test_stamp_carries_runtime_context(self):
-        stamp = environment_stamp(workers=4, backend="thread")
+        stamp = environment_stamp(workers=4, backend="process")
         assert {"python", "numpy", "platform", "cpu_count"} <= set(stamp)
         assert stamp["workers"] == 4
-        assert stamp["backend"] == "thread"
+        assert stamp["backend"] == "process"
 
     def test_pool_context_is_optional(self):
         assert "workers" not in environment_stamp()
