@@ -127,6 +127,15 @@ class TestCorrectness:
 
 
 class TestDeterminism:
+    def test_thread_workers_identical_aggregates(self, sequential_result):
+        """A wider pool (workers=4) splits the vehicles differently and must
+        still reproduce the sequential aggregates exactly."""
+        parallel = FleetRunner(_fleet(), workers=4).run()
+        assert parallel.metadata["backend"] == "process"
+        assert parallel.summary == sequential_result.summary
+        assert parallel.survival == sequential_result.survival
+        assert parallel.vehicle_rows == sequential_result.vehicle_rows
+
     def test_process_backend_identical_aggregates(self, sequential_result):
         process = FleetRunner(_fleet(), workers=2).run()
         assert process.metadata["backend"] == "process"

@@ -173,6 +173,13 @@ class TestBitIdentity:
         assert processed.metadata["backend"] == "process"
         assert processed.vehicle_rows == sequential_result.vehicle_rows
 
+    def test_threaded_rows_identical(self, thermal_fleet, sequential_result):
+        # Three pool processes split the thermal cohorts differently from
+        # two; every row must still match the sequential run.
+        parallel = FleetRunner(thermal_fleet, workers=3).run()
+        assert parallel.metadata["backend"] == "process"
+        assert parallel.vehicle_rows == sequential_result.vehicle_rows
+
     def test_forced_fallback_rows_identical(self, thermal_fleet, naive_reference):
         # A fresh runner (not the shared fixture) against the naive loop.
         fresh = FleetRunner(thermal_fleet).run()

@@ -96,6 +96,27 @@ class TestSequential:
             report.items = 99
 
 
+class TestThreadBackend:
+    """``workers > 1`` has one parallel path, the process pool: a wide pool
+    must still deliver results to the sink in input order."""
+
+    def test_order_preserved_and_identical_to_sequential(self):
+        items = list(range(40))
+        sequential = []
+        ChunkedEngine().run(items, lambda x: x * x, lambda i, r: sequential.append(r))
+        parallel = []
+        report = ChunkedEngine(workers=4).run(
+            items,
+            kernel=lambda x: x * x,
+            sink=lambda i, r: parallel.append(r),
+            process_worker=_square_worker,
+            process_payload=lambda item: (item, 0),
+        )
+        assert parallel == sequential
+        assert report.backend == "process"
+        assert report.workers == 4
+
+
 class TestProcessBackend:
     def test_rows_match_sequential(self):
         items = list(range(12))
