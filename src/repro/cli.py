@@ -598,10 +598,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         f"{metadata['wall_time_s']:.2f} s on {metadata['workers']} worker(s) "
         f"({metadata['backend']} backend)"
     )
-    path_line = f"fast path: {metadata.get('fast_path_vehicles', 0)} vehicle(s)"
-    if metadata.get("untagged_vehicles"):
-        path_line += f"; untagged (older journal): {metadata['untagged_vehicles']} vehicle(s)"
-    print(path_line)
+    print(f"fast path: {metadata['fast_path_vehicles']} vehicle(s)")
     if metadata["resumed_chunks"]:
         print(
             f"resumed {metadata['resumed_chunks']} chunk(s) "

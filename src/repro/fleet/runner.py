@@ -40,9 +40,7 @@ to a naive ``emulate()`` of the same vehicle scenario, which is what makes
 the aggregates independent of worker counts.  So are errors: a
 vehicle whose node is active on a round its schedule cannot cover, or whose
 thermal trajectory leaves the modelled range, fails with the message
-``emulate()`` raises for it.  Every outcome is tagged with the path it took
-(``fast_path_vehicles`` on the result metadata; outcomes replayed from an
-older checkpoint journal count as ``untagged_vehicles``).
+``emulate()`` raises for it.
 """
 
 from __future__ import annotations
@@ -79,7 +77,7 @@ from repro.fleet.spec import FleetSpec, FleetVehicle, ThermalSpec
 from repro.scavenger.storage import scaled_storage, trajectory  # noqa: F401
 from repro.scenario.checkpoint import CheckpointStore
 from repro.scenario.engine import ChunkedEngine
-from repro.scenario.spec import ScenarioSpec, worker_components
+from repro.scenario.spec import WORKER_COMPONENTS, ComponentCache, ScenarioSpec
 
 __all__ = ["FleetRunner", "run_fleet"]
 
@@ -241,7 +239,6 @@ def _vehicle_outcome(
             vehicle_index, spec, speed_scale, storage_scale, result, active_at_end
         ),
         "survival": survival,
-        "path": "cohort",
     }
 
 
@@ -282,7 +279,7 @@ def _process_vehicle(payload) -> dict[str, object]:
     thermal = (
         ThermalSpec.coerce(thermal_document) if thermal_document is not None else None
     )
-    components = worker_components(spec)
+    components = WORKER_COMPONENTS.get(spec)
     tables, demands = _SHARED_STATE.setdefault(token, ({}, {}))
     table = tables.get(cohort_key)
     demand = demands.get(demand_key)
@@ -328,7 +325,6 @@ class FleetRunner:
             (exceptions and process-worker death).  With ``retries > 0`` the
             run degrades gracefully — failed vehicles are reported on the
             result metadata instead of aborting the whole fleet.
-        retry_backoff_s: pause before each retry.
         progress: optional engine observer (per-vehicle and per-chunk
             events, see :meth:`~repro.scenario.engine.ChunkedEngine.run_chunks`);
             the serving layer uses it for live job progress.
@@ -352,24 +348,15 @@ class FleetRunner:
         checkpoint: str | None = None,
         max_chunks: int | None = None,
         retries: int = 0,
-        retry_backoff_s: float = 0.05,
         progress=None,
         should_stop=None,
         evaluator_cache=None,
     ) -> None:
         if not isinstance(fleet, FleetSpec):
             raise ConfigError(f"a fleet runner needs a FleetSpec, got {type(fleet).__name__}")
-        if record_interval_s <= 0.0:
-            raise ConfigError("record interval must be positive")
-        if idle_step_s <= 0.0:
-            raise ConfigError("idle step must be positive")
-        if evaluator_cache is not None and not callable(
-            getattr(evaluator_cache, "get", None)
-        ):
-            raise ConfigError(
-                "evaluator_cache must expose get(key, builder) "
-                f"(e.g. repro.serve.EvaluatorLRU), got {type(evaluator_cache).__name__}"
-            )
+        for name, value in (("record interval", record_interval_s), ("idle step", idle_step_s)):
+            if not isinstance(value, (int, float)) or isinstance(value, bool) or not value > 0.0:
+                raise ConfigError(f"{name} must be a positive number, got {value!r}")
         self.fleet = fleet
         self.workers = workers
         self.survival_buckets = FleetAccumulator.validate_buckets(survival_buckets)
@@ -380,38 +367,13 @@ class FleetRunner:
         self.max_chunks = max_chunks
         self.progress = progress
         self.should_stop = should_stop
-        self._evaluator_cache = evaluator_cache
-        # Validates workers/retries eagerly (same rules as studies).
-        # Failed vehicles are collected (not raised) whenever a retry budget
-        # is given: a caller asking for degradation wants the partial fleet.
-        self._engine = ChunkedEngine(
-            workers=workers,
-            retries=retries,
-            retry_backoff_s=retry_backoff_s,
-            failure_mode="collect" if retries > 0 else "raise",
-        )
-        self.evaluator_builds = 0
-        self.evaluator_cache_hits = 0
+        self.component_cache = ComponentCache(evaluator_cache)
+        # Validates workers/retries eagerly (same rules as studies).  With a
+        # retry budget the engine collects failed vehicles instead of
+        # raising: a caller asking for degradation wants the partial fleet.
+        self._engine = ChunkedEngine(workers=workers, retries=retries)
 
     # -- shared-state construction ------------------------------------------
-
-    def _components_for(self, spec: ScenarioSpec) -> tuple:
-        """One group's (node, database, evaluator) — via the shared LRU if given."""
-        if self._evaluator_cache is None:
-            self.evaluator_builds += 1
-            return spec.build_components()
-        built: list[bool] = []
-
-        def builder():
-            built.append(True)
-            return spec.build_components()
-
-        components = self._evaluator_cache.get(spec.evaluator_group_key(), builder)
-        if built:
-            self.evaluator_builds += 1
-        else:
-            self.evaluator_cache_hits += 1
-        return components
 
     def _build_shared_state(self, chunks):
         """Groups, cohort tables, the cross-vehicle sweep and the demands.
@@ -439,7 +401,7 @@ class FleetRunner:
                 gkey = _group_key(spec)
                 probe = probes.get(gkey)
                 if probe is None:
-                    probe = probes[gkey] = _probe(self._components_for(spec), spec)
+                    probe = probes[gkey] = _probe(self.component_cache.get(spec), spec)
                     pending[gkey], errors[gkey] = {}, {}
                 ckey = _cohort_key(vehicle, thermal)
                 table = tables.get(ckey)
@@ -494,6 +456,8 @@ class FleetRunner:
     def run(self) -> FleetResult:
         """Discover (streaming), share, fan out chunk by chunk, aggregate."""
         fleet = self.fleet
+        cache = self.component_cache
+        builds_before, hits_before = cache.builds, cache.hits
         # Discovery pass: stream the population once to find the groups,
         # cohorts and energy bins; individual vehicles are discarded, so the
         # parent never holds more than one chunk of them.
@@ -547,14 +511,6 @@ class FleetRunner:
                 thermal_document,
             )
 
-        # Outcomes replayed from a checkpoint journal written before outcomes
-        # carried a path tag count as untagged.
-        path_counts = {"cohort": 0, "untagged": 0}
-
-        def sink(_index, outcome) -> None:
-            path_counts["cohort" if outcome.get("path") == "cohort" else "untagged"] += 1
-            accumulator.add(outcome)
-
         # Fork-inherited sharing: stash this run's shared state where the
         # worker processes the engine creates below will find it.
         _SHARED_STATE[token] = (tables, demands)
@@ -562,7 +518,7 @@ class FleetRunner:
             report = self._engine.run_chunks(
                 fleet.iter_chunks(),
                 kernel,
-                sink,
+                lambda _index, outcome: accumulator.add(outcome),
                 checkpoint=store,
                 max_new_chunks=self.max_chunks,
                 process_worker=_process_vehicle,
@@ -585,16 +541,15 @@ class FleetRunner:
             "fleet_document": fleet.to_dict(),
             "groups": len(probes),
             "cohorts": len(tables),
-            "fast_path_vehicles": path_counts["cohort"],
-            "untagged_vehicles": path_counts["untagged"],
+            "fast_path_vehicles": accumulator.vehicles,
             "thermal": thermal_document,
             "shared_energy_bins": shared_bins,
             "speed_quantum_kmh": SPEED_QUANTUM_KMH,
             "temperature_quantum_c": TEMPERATURE_QUANTUM_C,
             "ambient_quantum_c": AMBIENT_QUANTUM_C if thermal is not None else None,
             "scale_quantum": fleet.scale_quantum,
-            "evaluator_builds": self.evaluator_builds,
-            "evaluator_cache_hits": self.evaluator_cache_hits,
+            "evaluator_builds": cache.builds - builds_before,
+            "evaluator_cache_hits": cache.hits - hits_before,
             "survival_buckets": buckets,
             "workers": self.workers or 1,
             "backend": report.backend,

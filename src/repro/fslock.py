@@ -16,6 +16,11 @@ outermost acquisition opens a fresh file descriptor, so the flock is held
 exactly as long as the context manager.  On platforms without ``fcntl``
 the lock degrades to the in-process lock alone — single-process use stays
 correct, multi-replica deployments are documented as POSIX-only.
+
+:func:`atomic_write` is the one write-then-rename used by every on-disk
+writer (checkpoint chunks and manifests, run-package manifests, store
+entries and the store index): a crash at any instant leaves either the old
+file or the new one, never a torn mix.
 """
 
 from __future__ import annotations
@@ -29,7 +34,30 @@ try:  # pragma: no cover - always present on the supported platforms
 except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None
 
-__all__ = ["FileLock"]
+__all__ = ["FileLock", "atomic_write"]
+
+
+def atomic_write(path: str | Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` via a tmp sibling, fsync and atomic rename.
+
+    The directory is fsync'd afterwards (best effort) so the rename itself
+    survives a crash.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "wb") as handle:
+        handle.write(data)
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(tmp, path)
+    try:  # directory entry durability; best-effort on exotic filesystems
+        dir_fd = os.open(path.parent, os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
+    except OSError:  # pragma: no cover - platform-dependent
+        pass
 
 
 class FileLock:

@@ -34,6 +34,7 @@ import numpy as np
 
 from repro.digest import canonical_digest
 from repro.errors import PackageError
+from repro.fslock import atomic_write
 
 #: Manifest schema version; bumped on incompatible layout changes.
 PACKAGE_VERSION = 1
@@ -170,16 +171,11 @@ def write_run_package(
         "extra": dict(extra) if extra else {},
     }
     manifest_path = target / _MANIFEST
-    tmp = manifest_path.with_name(manifest_path.name + ".tmp")
     try:
         text = json.dumps(manifest, indent=2, allow_nan=False)
     except ValueError as exc:
         raise PackageError(f"run package manifest is not strict JSON: {exc}") from exc
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(text + "\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, manifest_path)
+    atomic_write(manifest_path, (text + "\n").encode("utf-8"))
     return manifest_path
 
 

@@ -46,13 +46,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from pathlib import Path
 from typing import Mapping
 
 from repro.digest import canonical_digest
 from repro.errors import CheckpointError
-from repro.fslock import FileLock
+from repro.fslock import FileLock, atomic_write
 
 #: Manifest schema version; bumped on incompatible layout changes.
 CHECKPOINT_VERSION = 1
@@ -66,24 +65,6 @@ def _key_digest(key: Mapping[str, object]) -> str:
         return canonical_digest(key)
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"checkpoint key is not canonical JSON: {exc}") from exc
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` via tmp-file, fsync and atomic rename."""
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(text)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-    try:  # directory entry durability; best-effort on exotic filesystems
-        dir_fd = os.open(path.parent, os.O_RDONLY)
-        try:
-            os.fsync(dir_fd)
-        finally:
-            os.close(dir_fd)
-    except OSError:  # pragma: no cover - platform-dependent
-        pass
 
 
 class CheckpointStore:
@@ -169,7 +150,7 @@ class CheckpointStore:
                 str(index): entry for index, entry in sorted(self._chunks.items())
             },
         }
-        _atomic_write(self._manifest_path, json.dumps(document, indent=2) + "\n")
+        atomic_write(self._manifest_path, (json.dumps(document, indent=2) + "\n").encode("utf-8"))
 
     # -- chunk journal -------------------------------------------------------
 
@@ -224,7 +205,7 @@ class CheckpointStore:
                 # A foreign replica already journaled (and blessed) this
                 # chunk; its digest-checked file wins — ours is redundant.
                 return self.directory / str(self._chunks[chunk_index]["file"])
-            _atomic_write(path, text + "\n")
+            atomic_write(path, (text + "\n").encode("utf-8"))
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             self._chunks[chunk_index] = {
                 "file": name,

@@ -25,12 +25,11 @@ contract::
 * **Failure degradation** is bounded and structured: per-item exceptions
   are retried up to ``retries`` times with a backoff, and a dead worker
   process (``BrokenProcessPool``) rebuilds the pool and resubmits the
-  in-flight window within the same budget.  Exhausted budgets either raise
-  (``failure_mode="raise"``, the default — the original exception type for
-  item errors, an :class:`~repro.errors.EngineError` naming the in-flight
-  item indices for worker death) or surface as :class:`EngineFailure`
-  records on the report (``failure_mode="collect"``) while the run carries
-  on.
+  in-flight window within the same budget.  Without retries (the default)
+  the first failure raises — the original exception type for item errors,
+  an :class:`~repro.errors.EngineError` naming the in-flight item indices
+  for worker death.  With a budget, exhausted items surface as
+  :class:`EngineFailure` records on the report while the run carries on.
 
 Per-item wall times and the executed path land in the returned
 :class:`EngineReport`, which is how ``StudyResult.metadata`` keeps its
@@ -54,27 +53,27 @@ resumable interruption.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import multiprocessing
 import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from repro.errors import ConfigError, EngineError
 
-#: Default number of in-flight items per worker slot.  The sliding window
-#: keeps ``chunk_size * workers`` items submitted at any moment: large
+#: Number of in-flight items per worker slot.  The sliding window keeps
+#: ``DEFAULT_CHUNK_SIZE * workers`` items submitted at any moment: large
 #: enough that no worker starves while the window head finishes, small
 #: enough that results stream to the sink promptly and lazily-produced work
 #: items are not all materialized up front.
 DEFAULT_CHUNK_SIZE = 8
 
-#: Failure modes: ``"raise"`` propagates the first exhausted failure,
-#: ``"collect"`` records it on the report and keeps running.
-FAILURE_MODES = ("raise", "collect")
+#: Pause before each retry and before rebuilding a dead process pool.
+RETRY_BACKOFF_S = 0.05
 
 
 def process_pool_context():
@@ -150,7 +149,7 @@ class EngineReport:
             in-process path measures.  A failed item's entry covers its
             final attempt; a replayed item's entry is the journaled time of
             the original execution.
-        failures: items given up on (``failure_mode="collect"`` only).
+        failures: items given up on (only with ``retries > 0``).
         retries: total extra attempts spent across all items.
         pool_rebuilds: process pools rebuilt after a worker death.
         chunks: chunks completed by :meth:`ChunkedEngine.run_chunks`
@@ -183,15 +182,20 @@ class _FailedItem:
     error: str
 
 
-def _run_attempts(call, retries: int, backoff_s: float, collect: bool):
+#: The outcome of an item whose retry budget went to worker deaths.
+_WORKER_DEATH = _FailedItem(
+    kind="worker-death", error="process worker died while running this item"
+)
+
+
+def _run_attempts(call, retries: int):
     """Run ``call`` with a bounded retry budget.
 
     Returns ``(value, elapsed_s, attempts)`` where ``value`` is the result
-    or — when ``collect`` and the budget is exhausted — a :class:`_FailedItem`.
-    In raise mode the final attempt's exception propagates unchanged (so a
-    retry-less engine behaves exactly like the pre-retry engine).  The
-    elapsed time spans all attempts, mirroring what the caller would have
-    waited.
+    or — when ``retries > 0`` and the budget is exhausted — a
+    :class:`_FailedItem`.  Without retries the exception propagates
+    unchanged.  The elapsed time spans all attempts, mirroring what the
+    caller would have waited.
     """
     started = time.perf_counter()
     attempts = 0
@@ -201,10 +205,9 @@ def _run_attempts(call, retries: int, backoff_s: float, collect: bool):
             value = call()
         except Exception as error:
             if attempts <= retries:
-                if backoff_s > 0.0:
-                    time.sleep(backoff_s)
+                time.sleep(RETRY_BACKOFF_S)
                 continue
-            if collect:
+            if retries > 0:
                 failure = _FailedItem(
                     kind="exception", error=f"{type(error).__name__}: {error}"
                 )
@@ -215,14 +218,8 @@ def _run_attempts(call, retries: int, backoff_s: float, collect: bool):
 
 def _timed_process_task(task):
     """Module-level worker wrapper: run one payload, retry and time in-worker."""
-    worker, payload, retries, backoff_s, collect = task
-    return _run_attempts(lambda: worker(payload), retries, backoff_s, collect)
-
-
-def _notify_item(progress, items_done: int, failure_count: int) -> None:
-    """Emit one per-item progress event (no-op without an observer)."""
-    if progress is not None:
-        progress({"event": "item", "items_done": items_done, "failures": failure_count})
+    worker, payload, retries = task
+    return _run_attempts(lambda: worker(payload), retries)
 
 
 class ChunkedEngine:
@@ -231,52 +228,22 @@ class ChunkedEngine:
     Args:
         workers: process-pool width.  ``None`` or 1 executes sequentially,
             as does a run over fewer than two items.
-        chunk_size: in-flight items per worker slot
-            (:data:`DEFAULT_CHUNK_SIZE`); the sliding submission window is
-            ``chunk_size * workers`` items.
         retries: extra attempts per item (and per-item worker deaths
-            survived) before the engine gives up on it.
-        retry_backoff_s: pause before each retry (and before rebuilding a
-            dead process pool).
-        failure_mode: what an exhausted retry budget does — ``"raise"``
-            (default) propagates, ``"collect"`` records an
-            :class:`EngineFailure` on the report and skips the item's sink
-            call.
+            survived) before the engine gives up on it.  With ``retries=0``
+            the first failure raises; with a budget, exhausted items become
+            :class:`EngineFailure` records on the report, their sink calls
+            skipped, and the run carries on.
     """
 
-    def __init__(
-        self,
-        workers: int | None = None,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        retries: int = 0,
-        retry_backoff_s: float = 0.05,
-        failure_mode: str = "raise",
-    ) -> None:
+    def __init__(self, workers: int | None = None, retries: int = 0) -> None:
         if workers is None:
             workers = 1
         if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
             raise ConfigError(f"workers must be a positive integer, got {workers!r}")
-        if not isinstance(chunk_size, int) or isinstance(chunk_size, bool) or chunk_size < 1:
-            raise ConfigError(f"chunk_size must be a positive integer, got {chunk_size!r}")
         if not isinstance(retries, int) or isinstance(retries, bool) or retries < 0:
             raise ConfigError(f"retries must be a non-negative integer, got {retries!r}")
-        if (
-            not isinstance(retry_backoff_s, (int, float))
-            or isinstance(retry_backoff_s, bool)
-            or retry_backoff_s < 0.0
-        ):
-            raise ConfigError(
-                f"retry_backoff_s must be a non-negative number, got {retry_backoff_s!r}"
-            )
-        if failure_mode not in FAILURE_MODES:
-            raise ConfigError(
-                f"unknown failure_mode {failure_mode!r}; available: {list(FAILURE_MODES)}"
-            )
         self.workers = workers
-        self.chunk_size = chunk_size
         self.retries = retries
-        self.retry_backoff_s = float(retry_backoff_s)
-        self.failure_mode = failure_mode
 
     # -- single-pass execution ----------------------------------------------
 
@@ -297,8 +264,8 @@ class ChunkedEngine:
                 including a parallel request over fewer than two items — a
                 single-item "grid" never pays pool start-up).
             sink: called as ``sink(index, result)`` in input order as
-                results complete; failed items (``failure_mode="collect"``)
-                are skipped, their indices recorded on the report.
+                results complete; failed items (``retries > 0``) are
+                skipped, their indices recorded on the report.
             process_worker: module-level (picklable) function executing one
                 *payload* in a worker process; required when ``workers > 1``.
             process_payload: maps an item to the picklable payload shipped
@@ -327,41 +294,33 @@ class ChunkedEngine:
         timings: list[float] = []
         failures: list[EngineFailure] = []
         counters = {"retries": 0, "pool_rebuilds": 0}
-        collect = self.failure_mode == "collect"
-        window = self.chunk_size * self.workers
         if parallel:
-            backend_used = "process"
-            tasks = (
-                (process_worker, process_payload(item), self.retries, self.retry_backoff_s, collect)
-                for item in iterator
-            )
-            items_run = self._drain_process(
-                tasks, window, sink, timings, failures, counters, progress
-            )
+            tasks = ((process_worker, process_payload(item), self.retries) for item in iterator)
+            outcomes = self._process_outcomes(tasks, counters)
         else:
-            backend_used = "sequential"
-            items_run = 0
-            for item in iterator:
-                value, elapsed, attempts = _run_attempts(
-                    lambda: kernel(item), self.retries, self.retry_backoff_s, collect
-                )
+            outcomes = (
+                (index, *_run_attempts(lambda: kernel(item), self.retries))
+                for index, item in enumerate(iterator)
+            )
+        items_run = 0
+        # One settle loop for both paths: outcomes arrive in input order.
+        with contextlib.closing(outcomes):
+            for index, value, elapsed, attempts in outcomes:
                 counters["retries"] += attempts - 1
                 timings.append(elapsed)
                 if isinstance(value, _FailedItem):
                     failures.append(
                         EngineFailure(
-                            index=items_run,
-                            attempts=attempts,
-                            kind=value.kind,
-                            error=value.error,
+                            index=index, attempts=attempts, kind=value.kind, error=value.error
                         )
                     )
                 else:
-                    sink(items_run, value)
+                    sink(index, value)
                 items_run += 1
-                _notify_item(progress, items_run, len(failures))
+                if progress is not None:
+                    progress({"event": "item", "items_done": items_run, "failures": len(failures)})
         return EngineReport(
-            backend=backend_used,
+            backend="process" if parallel else "sequential",
             workers=self.workers if parallel else 1,
             items=items_run,
             wall_time_s=time.perf_counter() - started,
@@ -371,108 +330,70 @@ class ChunkedEngine:
             pool_rebuilds=counters["pool_rebuilds"],
         )
 
-    def _drain_process(
-        self, tasks, window, sink, timings, failures, counters, progress=None
-    ) -> int:
-        """Sliding-window submission with ordered release and death recovery.
+    def _process_outcomes(self, tasks, counters):
+        """Sliding-window pool execution yielding outcomes in input order.
 
-        At most ``window`` tasks are in flight at any moment; as the *oldest*
-        completes, its result goes to the sink (preserving input order) and
-        the next item is submitted — no barrier, so a slow item never idles
-        the other workers beyond the window bound.
+        Yields ``(index, value, elapsed_s, attempts)`` like the sequential
+        path.  At most ``DEFAULT_CHUNK_SIZE * workers`` tasks are in flight
+        at any moment; as the *oldest* completes it is yielded and the next
+        item is submitted — no barrier, so a slow item never idles the
+        other workers beyond the window bound.
 
         A dead worker process poisons every in-flight future
         (``BrokenProcessPool``), with no indication of which item killed it —
         so a death charges one attempt to *every* pending item, the pool is
-        rebuilt and the window resubmitted in order.  Items whose budget is
-        exhausted either abort the run with an :class:`EngineError` naming
-        the in-flight indices (``failure_mode="raise"``) or become
-        ``"worker-death"`` failures on the report (``"collect"``).
+        rebuilt and the window resubmitted in order.  An item's attempts
+        count its deaths plus its in-worker attempts.  Without retries a
+        death aborts the run with an :class:`EngineError` naming the
+        in-flight indices; with them, an item over budget is yielded as a
+        ``"worker-death"`` failure.
         """
-        context = process_pool_context()
-        pool = ProcessPoolExecutor(max_workers=self.workers, mp_context=context)
+        window = DEFAULT_CHUNK_SIZE * self.workers
+        pool = ProcessPoolExecutor(max_workers=self.workers, mp_context=process_pool_context())
         # Entries: [item index, task tuple, deaths, future]; future is None
-        # once the entry's budget is exhausted in collect mode.
+        # once the entry's budget is exhausted by worker deaths.
         pending: deque[list] = deque()
         iterator = iter(tasks)
-        exhausted = False
         submitted = 0
-        index = 0
         try:
             while True:
-                while not exhausted and len(pending) < window:
-                    try:
-                        task = next(iterator)
-                    except StopIteration:
-                        exhausted = True
-                        break
+                for task in itertools.islice(iterator, window - len(pending)):
                     pending.append([submitted, task, 0, pool.submit(_timed_process_task, task)])
                     submitted += 1
                 if not pending:
-                    break
+                    return
                 entry = pending[0]
-                if entry[3] is None:
-                    # Budget exhausted by worker deaths (collect mode).
-                    pending.popleft()
-                    timings.append(0.0)
-                    failures.append(
-                        EngineFailure(
-                            index=entry[0],
-                            attempts=entry[2],
-                            kind="worker-death",
-                            error="process worker died while running this item",
-                        )
-                    )
-                    index += 1
-                    _notify_item(progress, index, len(failures))
-                    continue
                 try:
-                    value, elapsed, attempts = entry[3].result()
+                    value, elapsed, attempts = (
+                        entry[3].result() if entry[3] is not None else (_WORKER_DEATH, 0.0, 0)
+                    )
                 except BrokenProcessPool:
                     pool = self._recover_dead_pool(pool, pending, counters)
                     continue
                 pending.popleft()
-                counters["retries"] += attempts - 1
-                timings.append(elapsed)
-                if isinstance(value, _FailedItem):
-                    failures.append(
-                        EngineFailure(
-                            index=entry[0], attempts=attempts, kind=value.kind, error=value.error
-                        )
-                    )
-                else:
-                    sink(entry[0], value)
-                index += 1
-                _notify_item(progress, index, len(failures))
+                yield entry[0], value, elapsed, entry[2] + attempts
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
-        return index
 
     def _recover_dead_pool(self, pool, pending, counters) -> ProcessPoolExecutor:
         """Replace a broken pool, charging one death to every in-flight item."""
-        in_flight = sorted(entry[0] for entry in pending if entry[3] is not None)
-        for entry in pending:
-            if entry[3] is not None:
-                entry[2] += 1
-        over_budget = [entry for entry in pending if entry[3] is not None and entry[2] > self.retries]
-        if over_budget and self.failure_mode == "raise":
+        if self.retries == 0:
+            in_flight = sorted(entry[0] for entry in pending if entry[3] is not None)
             raise EngineError(
                 f"process worker died while running item(s) {in_flight} "
-                f"(retry budget {self.retries} exhausted); "
-                "rerun with retries > 0 to rebuild the pool, or resume from a "
-                "checkpoint to keep completed chunks"
+                "(retry budget 0 exhausted); rerun with retries > 0 to rebuild the "
+                "pool, or resume from a checkpoint to keep completed chunks"
             )
         pool.shutdown(wait=False, cancel_futures=True)
-        if self.retry_backoff_s > 0.0:
-            time.sleep(self.retry_backoff_s)
+        time.sleep(RETRY_BACKOFF_S)
         counters["pool_rebuilds"] += 1
-        counters["retries"] += len(in_flight)
         pool = ProcessPoolExecutor(max_workers=self.workers, mp_context=process_pool_context())
         for entry in pending:
             if entry[3] is None:
                 continue
+            entry[2] += 1
             if entry[2] > self.retries:
-                entry[3] = None  # collect mode: surfaced when it reaches the head
+                entry[3] = None  # surfaced as a failure when it reaches the head
             else:
                 entry[3] = pool.submit(_timed_process_task, entry[1])
         return pool
@@ -539,7 +460,7 @@ class ChunkedEngine:
         timings: list[float] = []
         failures: list[EngineFailure] = []
         backend_used: str | None = None
-        counters = {"retries": 0, "pool_rebuilds": 0}
+        retries = pool_rebuilds = 0
         chunks_done = 0
         resumed_chunks = 0
         resumed_items = 0
@@ -563,42 +484,23 @@ class ChunkedEngine:
 
         for chunk_index, chunk in enumerate(chunks):
             chunk_items = list(chunk)
-            if checkpoint is not None and checkpoint.has_chunk(chunk_index):
+            resumed = checkpoint is not None and checkpoint.has_chunk(chunk_index)
+            if resumed:
                 results, wall_times, chunk_failures = checkpoint.load_chunk(
                     chunk_index, expected_items=len(chunk_items)
                 )
-                failed = {failure["index"] for failure in chunk_failures}
-                for offset, result in enumerate(results):
-                    if offset in failed:
-                        continue
-                    sink(global_index + offset, result)
-                timings.extend(wall_times)
-                for failure in chunk_failures:
-                    failures.append(
-                        EngineFailure.from_dict(
-                            {**failure, "index": global_index + failure["index"]}
-                        )
-                    )
-                global_index += len(chunk_items)
                 resumed_chunks += 1
                 resumed_items += len(chunk_items)
-                chunks_done += 1
-                chunk_event(chunk_index, resumed=True)
-                continue
-            if max_new_chunks is not None and executed_chunks >= max_new_chunks:
-                stopped_early = True
-                break
-            if should_stop is not None and should_stop():
-                stopped_early = True
-                break
+            else:
+                if max_new_chunks is not None and executed_chunks >= max_new_chunks:
+                    stopped_early = True
+                    break
+                if should_stop is not None and should_stop():
+                    stopped_early = True
+                    break
+                results = [None] * len(chunk_items)
 
-            buffer: list[object] = [None] * len(chunk_items)
-
-            def buffer_sink(local_index, result, _buffer=buffer):
-                _buffer[local_index] = result
-
-            def item_progress(event, _base=global_index, _failed_before=len(failures)):
-                if progress is not None:
+                def item_progress(event, _base=global_index, _failed_before=len(failures)):
                     progress(
                         {
                             **event,
@@ -607,41 +509,46 @@ class ChunkedEngine:
                         }
                     )
 
-            try:
-                report = self.run(
-                    chunk_items,
-                    kernel,
-                    buffer_sink,
-                    process_worker=process_worker,
-                    process_payload=process_payload,
-                    progress=item_progress if progress is not None else None,
-                )
-            except EngineError as error:
-                raise EngineError(f"chunk {chunk_index}: {error}") from error
-            if checkpoint is not None:
-                checkpoint.record_chunk(
-                    chunk_index,
-                    results=buffer,
-                    wall_times_s=list(report.item_wall_times_s),
-                    failures=[failure.to_dict() for failure in report.failures],
-                )
-            failed_local = {failure.index for failure in report.failures}
-            for offset, result in enumerate(buffer):
-                if offset in failed_local:
-                    continue
-                sink(global_index + offset, result)
-            timings.extend(report.item_wall_times_s)
-            for failure in report.failures:
-                failures.append(replace(failure, index=global_index + failure.index))
-            counters["retries"] += report.retries
-            counters["pool_rebuilds"] += report.pool_rebuilds
-            if backend_used is None or report.backend != "sequential":
-                backend_used = report.backend
-                workers_used = max(workers_used, report.workers)
+                try:
+                    report = self.run(
+                        chunk_items,
+                        kernel,
+                        results.__setitem__,
+                        process_worker=process_worker,
+                        process_payload=process_payload,
+                        progress=item_progress if progress is not None else None,
+                    )
+                except EngineError as error:
+                    raise EngineError(f"chunk {chunk_index}: {error}") from error
+                wall_times = report.item_wall_times_s
+                chunk_failures = [failure.to_dict() for failure in report.failures]
+                # Journaled before any result reaches the sink.
+                if checkpoint is not None:
+                    checkpoint.record_chunk(
+                        chunk_index,
+                        results=results,
+                        wall_times_s=list(wall_times),
+                        failures=chunk_failures,
+                    )
+                retries += report.retries
+                pool_rebuilds += report.pool_rebuilds
+                if backend_used is None or report.backend != "sequential":
+                    backend_used = report.backend
+                    workers_used = max(workers_used, report.workers)
+                executed_chunks += 1
+            # One settle block for executed and replayed chunks alike.
+            failed = {failure["index"] for failure in chunk_failures}
+            for offset, result in enumerate(results):
+                if offset not in failed:
+                    sink(global_index + offset, result)
+            timings.extend(wall_times)
+            failures.extend(
+                EngineFailure.from_dict({**failure, "index": global_index + failure["index"]})
+                for failure in chunk_failures
+            )
             global_index += len(chunk_items)
-            executed_chunks += 1
             chunks_done += 1
-            chunk_event(chunk_index, resumed=False)
+            chunk_event(chunk_index, resumed=resumed)
         return EngineReport(
             backend=backend_used if backend_used is not None else "resumed",
             workers=workers_used,
@@ -649,8 +556,8 @@ class ChunkedEngine:
             wall_time_s=time.perf_counter() - started,
             item_wall_times_s=tuple(timings),
             failures=tuple(failures),
-            retries=counters["retries"],
-            pool_rebuilds=counters["pool_rebuilds"],
+            retries=retries,
+            pool_rebuilds=pool_rebuilds,
             chunks=chunks_done,
             resumed_chunks=resumed_chunks,
             resumed_items=resumed_items,

@@ -458,8 +458,7 @@ class ScenarioSpec:
         """Build the ``(node, database, evaluator)`` triple of this scenario.
 
         The shareable unit behind :meth:`evaluator_group_key`: callers memo
-        the result under that key (study evaluator cache, process-worker
-        memos, fleet groups).
+        the result under that key through a :class:`ComponentCache`.
         """
         from repro.core.evaluator import EnergyEvaluator
 
@@ -490,21 +489,58 @@ class ScenarioSpec:
         return ", ".join(parts)
 
 
-#: Per-process component memo of pool workers, keyed by
-#: :meth:`ScenarioSpec.evaluator_group_key`.  Forked workers start with the
-#: parent's (empty) dict and warm it independently, so work items sharing an
-#: architecture pay the database re-targeting and table compilation once per
-#: *worker*, not once per item.
-_WORKER_COMPONENTS: dict[str, tuple] = {}
+class ComponentCache:
+    """Memo of :meth:`ScenarioSpec.build_components` triples.
+
+    Keyed by :meth:`ScenarioSpec.evaluator_group_key`, so scenarios sharing
+    an architecture, workload and power database share one evaluator and
+    compiled table.  Studies, fleet runs and pool workers all memoize
+    through it.
+
+    Args:
+        backend: optional shared cache exposing ``get(key, builder)`` (the
+            serving layer's :class:`~repro.serve.cache.EvaluatorLRU`), so
+            compiled tables outlive this cache; without one, a private dict.
+
+    ``builds``/``hits`` count this cache's own lookups either way.
+    """
+
+    def __init__(self, backend=None) -> None:
+        if backend is not None and not callable(getattr(backend, "get", None)):
+            raise ConfigError(
+                "evaluator_cache must expose get(key, builder) "
+                f"(e.g. repro.serve.EvaluatorLRU), got {type(backend).__name__}"
+            )
+        self._backend = backend
+        self._entries: dict[str, tuple] = {}
+        self.builds = 0
+        self.hits = 0
+
+    def get(self, spec: ScenarioSpec) -> tuple:
+        """The shared ``(node, database, evaluator)`` triple of ``spec``."""
+        key = spec.evaluator_group_key()
+        builds = self.builds
+
+        def builder():
+            self.builds += 1
+            return spec.build_components()
+
+        if self._backend is not None:
+            components = self._backend.get(key, builder)
+        else:
+            components = self._entries.get(key)
+            if components is None:
+                components = self._entries[key] = builder()
+        if self.builds == builds:
+            self.hits += 1
+        return components
 
 
-def worker_components(spec: ScenarioSpec) -> tuple:
-    """The memoized ``(node, database, evaluator)`` triple of a pool worker."""
-    key = spec.evaluator_group_key()
-    cached = _WORKER_COMPONENTS.get(key)
-    if cached is None:
-        cached = _WORKER_COMPONENTS[key] = spec.build_components()
-    return cached
+#: Per-process component memo of pool workers.  Forked workers start with
+#: the parent's (empty) cache and warm it independently, so work items
+#: sharing an architecture pay the database re-targeting and table
+#: compilation once per *worker*, not once per item.
+WORKER_COMPONENTS = ComponentCache()
 
 
 def load_scenario(path: str | Path) -> ScenarioSpec:

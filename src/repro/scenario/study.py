@@ -65,7 +65,7 @@ from repro.reporting.export import rows_to_csv, rows_to_json
 from repro.reporting.tables import render_table
 from repro.scenario.engine import ChunkedEngine
 from repro.scenario.montecarlo import MonteCarloConfig, summarize_energies
-from repro.scenario.spec import ComponentRef, ScenarioSpec, worker_components
+from repro.scenario.spec import WORKER_COMPONENTS, ComponentCache, ComponentRef, ScenarioSpec
 
 #: Analysis kinds the runner understands.
 STUDY_KINDS = ("balance", "report", "optimize", "emulate", "explore", "montecarlo")
@@ -162,13 +162,6 @@ class Study:
     ) -> None:
         if not isinstance(spec, ScenarioSpec):
             raise ConfigError(f"a study needs a ScenarioSpec, got {type(spec).__name__}")
-        if evaluator_cache is not None and not callable(
-            getattr(evaluator_cache, "get", None)
-        ):
-            raise ConfigError(
-                "evaluator_cache must expose get(key, builder) "
-                f"(e.g. repro.serve.EvaluatorLRU), got {type(evaluator_cache).__name__}"
-            )
         if montecarlo is not None and not isinstance(montecarlo, MonteCarloConfig):
             raise ConfigError(
                 f"montecarlo must be a MonteCarloConfig, got {type(montecarlo).__name__}"
@@ -198,16 +191,12 @@ class Study:
                 raise ConfigError(f"axis {axis!r} needs at least one value")
             normalized[axis] = values
         self.axes = normalized
-        # (architecture ref, workload overrides, database ref) -> shared
-        # (node, database, evaluator); grid points differing only in
-        # environment or scavenger/storage reuse the compiled table.  An
-        # external ``evaluator_cache`` (the serving layer's bounded LRU) replaces the
-        # per-study dict so compiled tables survive across studies; the
-        # per-run builds/hits counters keep their meaning either way.
-        self._evaluators: dict[str, tuple] = {}
-        self._external_cache = evaluator_cache
-        self.evaluator_builds = 0
-        self.evaluator_cache_hits = 0
+        # Grid points differing only in environment or scavenger/storage
+        # reuse one compiled table.  An external ``evaluator_cache`` (the
+        # serving layer's bounded LRU) backs the cache so compiled tables
+        # survive across studies; the per-run builds/hits counters keep
+        # their meaning either way.
+        self.component_cache = ComponentCache(evaluator_cache)
 
     # -- grid expansion -----------------------------------------------------
 
@@ -230,32 +219,6 @@ class Study:
         for values in self.axes.values():
             count *= len(values)
         return count
-
-    # -- shared evaluator cache ---------------------------------------------
-
-    def _evaluator_for(self, spec: ScenarioSpec):
-        """The shared (node, database, evaluator) triple of one grid point."""
-        key = spec.evaluator_group_key()
-        if self._external_cache is not None:
-            built: list[bool] = []
-
-            def builder():
-                built.append(True)
-                return spec.build_components()
-
-            components = self._external_cache.get(key, builder)
-            if built:
-                self.evaluator_builds += 1
-            else:
-                self.evaluator_cache_hits += 1
-            return components
-        cached = self._evaluators.get(key)
-        if cached is not None:
-            self.evaluator_cache_hits += 1
-            return cached
-        self.evaluator_builds += 1
-        cached = self._evaluators[key] = spec.build_components()
-        return cached
 
     # -- execution ----------------------------------------------------------
 
@@ -286,8 +249,8 @@ class Study:
             raise ConfigError(f"unknown analysis kind {kind!r}; available: {list(STUDY_KINDS)}")
         # Validates workers (same rules as every engine client).
         engine = ChunkedEngine(workers=workers)
-        builds_before = self.evaluator_builds
-        hits_before = self.evaluator_cache_hits
+        cache = self.component_cache
+        builds_before, hits_before = cache.builds, cache.hits
         grid = self.scenarios()
 
         def cells(overrides: dict[str, object]) -> tuple:
@@ -295,9 +258,7 @@ class Study:
 
         def kernel(item: tuple[dict[str, object], ScenarioSpec]) -> dict[str, object]:
             overrides, spec = item
-            return _grid_row(
-                spec, cells(overrides), kind, self._evaluator_for(spec), self.montecarlo
-            )
+            return _grid_row(spec, cells(overrides), kind, cache.get(spec), self.montecarlo)
 
         def payload(item: tuple[dict[str, object], ScenarioSpec]):
             # Ship each grid point as its JSON-round-trippable document plus
@@ -325,8 +286,8 @@ class Study:
             "axes": {name: [_axis_display(v) for v in vals] for name, vals in self.axes.items()},
             # Per-run deltas: the Study-level counters keep accumulating so a
             # second run() on a warm study reports its own builds/hits.
-            "evaluator_builds": self.evaluator_builds - builds_before,
-            "evaluator_cache_hits": self.evaluator_cache_hits - hits_before,
+            "evaluator_builds": cache.builds - builds_before,
+            "evaluator_cache_hits": cache.hits - hits_before,
             "base_scenario": self.spec.to_dict(),
             # Timing bookkeeping: total wall time of this run plus each grid
             # point's own wall time (sequential row order), so perf
@@ -499,7 +460,7 @@ def _process_grid_point(
     """
     document, cells, kind, montecarlo = payload
     spec = ScenarioSpec.from_dict(document)
-    return _grid_row(spec, cells, kind, worker_components(spec), montecarlo)
+    return _grid_row(spec, cells, kind, WORKER_COMPONENTS.get(spec), montecarlo)
 
 
 def run_study(

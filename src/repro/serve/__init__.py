@@ -6,11 +6,13 @@ serving layer keeps the expensive state alive across requests:
 
 :mod:`repro.serve.cache`
     A bounded, lock-protected LRU of built ``(node, database, evaluator)``
-    component triples, keyed exactly like ``Study._evaluator_for``
-    (:meth:`~repro.scenario.spec.ScenarioSpec.evaluator_group_key`).  Both
+    component triples, keyed by
+    :meth:`~repro.scenario.spec.ScenarioSpec.evaluator_group_key`.  Both
     :class:`~repro.scenario.study.Study` and
     :class:`~repro.fleet.runner.FleetRunner` accept it via their
-    ``evaluator_cache`` parameter, so compiled tables survive across jobs.
+    ``evaluator_cache`` parameter as the backend of their
+    :class:`~repro.scenario.spec.ComponentCache`, so compiled tables
+    survive across jobs.
 
 :mod:`repro.serve.jobs`
     A :class:`~repro.serve.jobs.JobManager` that accepts scenario/fleet

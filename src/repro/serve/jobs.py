@@ -48,6 +48,7 @@ from repro.fleet.aggregate import DEFAULT_SURVIVAL_BUCKETS
 from repro.fleet.runner import FleetRunner
 from repro.fleet.spec import FleetSpec
 from repro.reporting.export import json_ready
+from repro.scenario.engine import ChunkedEngine
 from repro.scenario.montecarlo import MonteCarloConfig
 from repro.scenario.spec import ScenarioSpec
 from repro.scenario.study import STUDY_KINDS, Study
@@ -231,8 +232,10 @@ class _StudyRequest:
             _parse_montecarlo(document["montecarlo"]) if "montecarlo" in document else None
         )
         self.workers = document.get("workers", default_workers)
-        # Validates the axes (names, collisions, emptiness) at submit time.
+        # Validates the axes (names, collisions, emptiness) and the workers
+        # at submit time.
         study = self.build_study()
+        ChunkedEngine(workers=self.workers)
         self.key = {
             "kind": "study",
             "analysis": self.analysis,
@@ -269,16 +272,7 @@ def _axis_key_value(value: object) -> object:
 class _FleetRequest:
     """A validated fleet request: the materialized spec plus its store key."""
 
-    __slots__ = (
-        "fleet",
-        "workers",
-        "retries",
-        "record_interval_s",
-        "idle_step_s",
-        "survival_buckets",
-        "keep_vehicle_rows",
-        "key",
-    )
+    __slots__ = ("fleet", "options", "key")
 
     def __init__(self, document: object, default_workers) -> None:
         document = _require_mapping(document, "fleet request")
@@ -312,41 +306,27 @@ class _FleetRequest:
             seed=document.get("seed"),
             chunk_vehicles=document.get("chunk_vehicles"),
         )
-        self.workers = document.get("workers", default_workers)
-        self.retries = document.get("retries", 0)
-        self.record_interval_s = document.get("record_interval_s", 1.0)
-        self.idle_step_s = document.get("idle_step_s", 1.0)
-        self.survival_buckets = document.get("survival_buckets", DEFAULT_SURVIVAL_BUCKETS)
-        self.keep_vehicle_rows = bool(document.get("keep_vehicle_rows", False))
-        # Mirrors FleetRunner.checkpoint_key(): the full fleet document plus
-        # every runner parameter the kernels read.  keep_vehicle_rows shapes
-        # the *document* (rows present or null), so it keys too; retries/
-        # workers shape only the execution plan and do not.
+        self.options = {
+            "workers": document.get("workers", default_workers),
+            "retries": document.get("retries", 0),
+            "record_interval_s": document.get("record_interval_s", 1.0),
+            "idle_step_s": document.get("idle_step_s", 1.0),
+            "survival_buckets": document.get("survival_buckets", DEFAULT_SURVIVAL_BUCKETS),
+            "keep_vehicle_rows": bool(document.get("keep_vehicle_rows", False)),
+        }
+        # A throwaway runner validates every runner field at submit time.
+        # Its checkpoint key holds the full fleet document plus every runner
+        # parameter the kernels read.  keep_vehicle_rows shapes the
+        # *document* (rows present or null), so it keys too; retries/workers
+        # shape only the execution plan and do not.
         self.key = {
-            "kind": "fleet",
-            "fleet": self.fleet.to_dict(),
-            "record_interval_s": self.record_interval_s,
-            "idle_step_s": self.idle_step_s,
-            "survival_buckets": self.survival_buckets,
-            "keep_vehicle_rows": self.keep_vehicle_rows,
+            **self.build_runner().checkpoint_key(),
+            "keep_vehicle_rows": self.options["keep_vehicle_rows"],
         }
 
-    def build_runner(
-        self, evaluator_cache=None, checkpoint=None, progress=None, should_stop=None
-    ) -> FleetRunner:
-        return FleetRunner(
-            self.fleet,
-            workers=self.workers,
-            survival_buckets=self.survival_buckets,
-            keep_vehicle_rows=self.keep_vehicle_rows,
-            record_interval_s=self.record_interval_s,
-            idle_step_s=self.idle_step_s,
-            checkpoint=checkpoint,
-            retries=self.retries,
-            progress=progress,
-            should_stop=should_stop,
-            evaluator_cache=evaluator_cache,
-        )
+    def build_runner(self, **hooks) -> FleetRunner:
+        """The runner of this request; ``hooks`` are the run-time arguments."""
+        return FleetRunner(self.fleet, **self.options, **hooks)
 
 
 class Job:

@@ -18,7 +18,7 @@ Multi-replica sharing
 ---------------------
 
 With a directory the store persists each entry as ``<digest>.json`` via
-the checkpoint subsystem's write-then-rename + fsync discipline (a torn
+the shared :func:`~repro.fslock.atomic_write` (write-then-rename + fsync; a torn
 write can never surface as a corrupt entry), and N server processes may
 share one directory: every metadata read-modify-write — the ``index.json``
 recency/size table, eviction, the first-write-wins check — happens under a
@@ -40,14 +40,13 @@ modes are lock-protected and counter-instrumented.
 from __future__ import annotations
 
 import json
-import os
 import threading
 from collections import OrderedDict
 from pathlib import Path
 
 from repro.digest import canonical_digest
 from repro.errors import ConfigError
-from repro.fslock import FileLock
+from repro.fslock import FileLock, atomic_write
 from repro.serve.budget import StoreBudget
 
 __all__ = ["ResultStore"]
@@ -158,15 +157,9 @@ class ResultStore:
         return {"version": 1, "clock": clock, "entries": entries}
 
     def _write_index(self, index: dict) -> None:
-        """Atomically persist the index (lock held): tmp + fsync + rename."""
-        path = self._directory / _INDEX
-        tmp = self._directory / (_INDEX + ".tmp")
+        """Atomically persist the index (lock held)."""
         payload = (json.dumps(index, separators=(",", ":")) + "\n").encode("utf-8")
-        with open(tmp, "wb") as handle:
-            handle.write(payload)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
+        atomic_write(self._directory / _INDEX, payload)
 
     def _evict_locked(self, index: dict, keep: str | None) -> None:
         """Evict least-recently-used entries until the budget holds.
@@ -302,14 +295,9 @@ class ResultStore:
                 entries[digest] = {"size": path.stat().st_size, "used": 0}
                 dirty = True
             if digest not in entries:
-                # Checkpoint-style atomicity: a crash mid-write leaves a
-                # tmp file, never a half-written blessed entry.
-                tmp = path.with_suffix(".json.tmp")
-                with open(tmp, "wb") as handle:
-                    handle.write(payload)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                os.replace(tmp, path)
+                # A crash mid-write leaves a tmp file, never a half-written
+                # blessed entry.
+                atomic_write(path, payload)
                 index["clock"] += 1
                 entries[digest] = {"size": len(payload), "used": index["clock"]}
                 self._evict_locked(index, keep=digest)

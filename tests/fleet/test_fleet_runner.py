@@ -42,6 +42,15 @@ class TestValidation:
         with pytest.raises(ConfigError, match="record interval"):
             FleetRunner(_fleet(), record_interval_s=0.0)
 
+    @pytest.mark.parametrize("bad", ["x", None, True])
+    def test_non_numeric_intervals_rejected(self, bad):
+        with pytest.raises(ConfigError, match="idle step"):
+            FleetRunner(_fleet(), idle_step_s=bad)
+
+    def test_evaluator_cache_must_expose_get(self):
+        with pytest.raises(ConfigError, match=r"get\(key, builder\)"):
+            FleetRunner(_fleet(), evaluator_cache=object())
+
     def test_invalid_buckets_rejected(self):
         with pytest.raises(ConfigError, match="buckets"):
             FleetRunner(_fleet(), survival_buckets=0)
@@ -330,7 +339,7 @@ class TestScheduleStraddlingCohorts:
         from repro.errors import ReproError
 
         fleet = self._fleet()
-        result = FleetRunner(fleet, retries=1, retry_backoff_s=0.0).run()
+        result = FleetRunner(fleet, retries=1).run()
         rows = {row["vehicle"]: row for row in result.vehicle_rows}
         failures = {failure["index"]: failure for failure in result.metadata["failures"]}
         assert rows and failures, "the fleet must have both completing and failing vehicles"

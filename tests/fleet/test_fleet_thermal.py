@@ -193,7 +193,6 @@ class TestObservability:
     def test_clean_run_counts_every_vehicle_fast(self, thermal_fleet, sequential_result):
         metadata = sequential_result.metadata
         assert metadata["fast_path_vehicles"] == thermal_fleet.vehicles
-        assert metadata["untagged_vehicles"] == 0
 
     def test_thermal_document_and_quantum_reported(self, sequential_result):
         metadata = sequential_result.metadata

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigError
-from repro.scenario.engine import ChunkedEngine, EngineReport
+from repro.scenario.checkpoint import CheckpointStore
+from repro.scenario.engine import DEFAULT_CHUNK_SIZE, ChunkedEngine, EngineReport
 
 
 def _square_worker(payload):
@@ -50,11 +51,6 @@ class TestValidation:
     def test_invalid_workers_rejected(self, bad):
         with pytest.raises(ConfigError, match="workers"):
             ChunkedEngine(workers=bad)
-
-    @pytest.mark.parametrize("bad", [0, -3, 2.0, False])
-    def test_invalid_chunk_size_rejected(self, bad):
-        with pytest.raises(ConfigError, match="chunk_size"):
-            ChunkedEngine(chunk_size=bad)
 
     def test_process_backend_requires_worker_and_payload(self):
         engine = ChunkedEngine(workers=2)
@@ -136,9 +132,10 @@ class TestProcessBackend:
         assert all(elapsed > 0.0 for elapsed in report.item_wall_times_s)
 
     def test_chunking_streams_between_chunks(self):
-        # window = chunk_size * workers = 4: only the first four payloads are
+        # Only the first window (DEFAULT_CHUNK_SIZE * workers) of payloads is
         # built before the first result reaches the sink, and results still
         # stream in input order.
+        window = DEFAULT_CHUNK_SIZE * 2
         order = []
 
         def payload(item):
@@ -148,13 +145,13 @@ class TestProcessBackend:
         def sink(index, result):
             order.append(("sink", result))
 
-        ChunkedEngine(workers=2, chunk_size=2).run(
-            range(8), _double, sink, process_worker=_double, process_payload=payload
+        ChunkedEngine(workers=2).run(
+            range(3 * window), _double, sink, process_worker=_double, process_payload=payload
         )
         first_sink = order.index(("sink", 0))
-        assert order[:first_sink] == [("submit", i) for i in range(4)]
+        assert order[:first_sink] == [("submit", i) for i in range(window)]
         assert [entry for entry in order if entry[0] == "sink"] == [
-            ("sink", 2 * i) for i in range(8)
+            ("sink", 2 * i) for i in range(3 * window)
         ]
 
     def test_items_may_be_a_lazy_iterator(self):
@@ -162,7 +159,7 @@ class TestProcessBackend:
             yield from range(25)
 
         received = []
-        report = ChunkedEngine(workers=2, chunk_size=2).run(
+        report = ChunkedEngine(workers=2).run(
             generate(), _double, lambda i, r: received.append(r), **_pool(_double)
         )
         assert received == [2 * i for i in range(25)]
@@ -207,15 +204,11 @@ class TestRetries:
         with pytest.raises(ConfigError, match="retries"):
             ChunkedEngine(retries=bad)
 
-    def test_invalid_failure_mode_rejected(self):
-        with pytest.raises(ConfigError, match="failure_mode"):
-            ChunkedEngine(failure_mode="shrug")
-
     @pytest.mark.parametrize("workers", [1, 3])
     def test_transient_failures_retried_to_success(self, workers):
         kernel = _Flaky(fail_times=2)
         received = []
-        report = ChunkedEngine(workers=workers, retries=2, retry_backoff_s=0.0).run(
+        report = ChunkedEngine(workers=workers, retries=2).run(
             range(5),
             kernel,
             lambda i, r: received.append((i, r)),
@@ -225,13 +218,6 @@ class TestRetries:
         assert received == [(i, i * 2) for i in range(5)]
         assert report.failures == ()
         assert report.retries == 10  # 2 extra attempts x 5 items
-
-    def test_raise_mode_propagates_the_original_exception_type(self):
-        kernel = _Flaky(fail_times=5)
-        with pytest.raises(ValueError, match="transient failure"):
-            ChunkedEngine(retries=1, retry_backoff_s=0.0).run(
-                range(3), kernel, lambda i, r: None
-            )
 
     def test_no_retries_behaves_like_the_pre_retry_engine(self):
         def kernel(item):
@@ -243,9 +229,7 @@ class TestRetries:
     @pytest.mark.parametrize("workers", [1, 3])
     def test_collect_mode_skips_failed_items_and_records_them(self, workers):
         received = []
-        report = ChunkedEngine(
-            workers=workers, retries=1, retry_backoff_s=0.0, failure_mode="collect"
-        ).run(
+        report = ChunkedEngine(workers=workers, retries=1).run(
             range(5),
             _poisoned_worker,
             lambda i, r: received.append((i, r)),
@@ -309,6 +293,36 @@ class TestRunChunks:
         # Only the first chunk had been pulled when its result streamed out.
         assert consumed_at_first_sink == [[0]]
 
+    def test_replayed_chunk_settles_like_an_executed_one(self, tmp_path):
+        chunks = [[0, 1, 2], [3, 4, 5], [6, 7]]  # item 4, in chunk 1, fails
+
+        def kernel(item):
+            if item == 4:
+                raise RuntimeError("poisoned item")
+            return item * 10
+
+        def run():
+            received = []
+            report = ChunkedEngine(retries=1).run_chunks(
+                chunks,
+                kernel,
+                lambda i, r: received.append((i, r)),
+                checkpoint=CheckpointStore(tmp_path / "ckpt", {"kind": "replay-test"}),
+            )
+            return received, report
+
+        executed, first = run()
+        replayed, second = run()
+        assert executed == [(i, i * 10) for i in range(8) if i != 4]
+        assert replayed == executed
+        assert [failure.index for failure in first.failures] == [4]
+        assert second.failures == first.failures
+        assert len(first.item_wall_times_s) == 8
+        assert second.item_wall_times_s == first.item_wall_times_s
+        assert first.backend == "sequential"
+        assert second.backend == "resumed"
+        assert second.resumed_chunks == 3
+
     def test_collect_failures_reindexed_globally(self):
         def kernel(item):
             if item == "bad":
@@ -316,7 +330,7 @@ class TestRunChunks:
             return item
 
         received = []
-        report = ChunkedEngine(failure_mode="collect").run_chunks(
+        report = ChunkedEngine(retries=1).run_chunks(
             [["a", "b"], ["bad", "c"]], kernel, lambda i, r: received.append((i, r))
         )
         assert received == [(0, "a"), (1, "b"), (3, "c")]

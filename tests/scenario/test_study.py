@@ -102,6 +102,10 @@ class TestEvaluatorSharing:
         assert second.metadata["evaluator_builds"] == 0
         assert second.metadata["evaluator_cache_hits"] == 2
 
+    def test_evaluator_cache_must_expose_get(self):
+        with pytest.raises(ConfigError, match=r"get\(key, builder\)"):
+            Study(ScenarioSpec(), evaluator_cache=object())
+
     def test_unhashable_component_params_are_cacheable(self):
         from repro.scenario.registry import ARCHITECTURES
 
@@ -344,20 +348,18 @@ class TestProcessBackend:
 
     def test_worker_components_memo_shares_evaluators(self):
         """Within one worker process, equal specs share one evaluator."""
-        from repro.scenario.spec import _WORKER_COMPONENTS, worker_components
+        from repro.scenario.spec import WORKER_COMPONENTS, ComponentCache
 
-        _WORKER_COMPONENTS.clear()
-        try:
-            spec = ScenarioSpec(name="memo")
-            first = worker_components(spec)
-            cold = worker_components(spec.with_axis("temperature", 85.0))
-            assert cold is first  # temperature is not part of the evaluator key
-            assert len(_WORKER_COMPONENTS) == 1
-            other = worker_components(spec.with_axis("architecture", "optimized"))
-            assert other is not first
-            assert len(_WORKER_COMPONENTS) == 2
-        finally:
-            _WORKER_COMPONENTS.clear()
+        assert isinstance(WORKER_COMPONENTS, ComponentCache)
+        cache = ComponentCache()
+        spec = ScenarioSpec(name="memo")
+        first = cache.get(spec)
+        cold = cache.get(spec.with_axis("temperature", 85.0))
+        assert cold is first  # temperature is not part of the evaluator key
+        assert (cache.builds, cache.hits) == (1, 1)
+        other = cache.get(spec.with_axis("architecture", "optimized"))
+        assert other is not first
+        assert (cache.builds, cache.hits) == (2, 1)
 
     def test_run_study_passes_workers_through(self):
         spec = ScenarioSpec(name="proc-conv")

@@ -73,7 +73,7 @@ class TestConcurrentStudies:
         stats = cache.stats()
         assert stats["misses"] == 1
         assert stats["hits"] == THREADS * len(AXES["temperature"]) - 1
-        assert sum(study.evaluator_builds for study in done) == 1
+        assert sum(study.component_cache.builds for study in done) == 1
 
     def test_mixed_kinds_share_the_cache_without_interference(self):
         expected_balance = _sequential_rows("balance")

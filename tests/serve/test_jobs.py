@@ -84,6 +84,24 @@ class TestRequestValidation:
         with pytest.raises(ConfigError, match="unknown scenario axis"):
             manager.submit_study({**STUDY_DOC, "axes": {"nonsense": [1]}})
 
+    @pytest.mark.parametrize(
+        "kind, field, value",
+        [
+            ("fleet", "survival_buckets", 0),
+            ("fleet", "workers", 0),
+            ("fleet", "retries", -2),
+            ("fleet", "record_interval_s", -1),
+            ("fleet", "idle_step_s", "x"),
+            ("study", "workers", 0),
+        ],
+    )
+    def test_bad_runner_fields_fail_at_submit(self, manager, kind, field, value):
+        document = FLEET_DOC if kind == "fleet" else STUDY_DOC
+        submit = manager.submit_fleet if kind == "fleet" else manager.submit_study
+        with pytest.raises(ConfigError):
+            submit({**document, field: value})
+        assert manager.jobs() == []
+
     def test_submit_after_shutdown_is_refused(self):
         manager = JobManager()
         manager.shutdown()
