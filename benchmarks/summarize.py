@@ -15,6 +15,18 @@ Usage::
 
 Exit status is non-zero when no timing artifacts are found (an empty
 summary usually means the benchmarks did not run).
+
+``--perfbench BENCH_<n>.json`` records the repository benchmark instead:
+given the saved output of ``python3 perfbench/run.py --workload all`` for a
+parent and a change checkout (``--parent-log``/``--change-log``, with their
+commit ids), it writes each workload's result line for both into
+``BENCH_<n>.json`` and prints the change against the parent.  Without the
+logs it reads an existing file.  Either way it then prints the change
+against the previous ``BENCH_*.json`` beside it (or says there is none)::
+
+    PYTHONPATH=src python benchmarks/summarize.py --perfbench BENCH_16.json \
+        --parent-log parent.log --parent-commit <sha> \
+        --change-log change.log --change-commit <sha>
 """
 
 from __future__ import annotations
@@ -92,6 +104,91 @@ def summarize(results_dir: Path, output: Path | None) -> int:
     return 0
 
 
+def perfbench_results(log: Path) -> dict[str, dict]:
+    """Workload name -> the result line of each run in a perfbench log."""
+    results, workload = {}, None
+    for line in log.read_text(encoding="utf-8").splitlines():
+        if line.startswith("perfbench "):
+            workload = line.split()[1]
+        elif line.startswith("{") and workload is not None:
+            results[workload] = json.loads(line)
+            workload = None
+    if not results:
+        raise SystemExit(f"no perfbench result lines in {log}")
+    return results
+
+
+def _bench_number(path: Path) -> int:
+    return int(path.stem.removeprefix("BENCH_"))
+
+
+def delta_rows(before: dict, after: dict) -> list[dict]:
+    """One row per (workload, metric) present in both: values and ratio."""
+    rows = []
+    for workload, result in after.items():
+        if workload not in before:
+            continue
+        for metric, entry in result["metrics"].items():
+            old = before[workload]["metrics"].get(metric)
+            if old is None:
+                continue
+            rows.append(
+                {
+                    "workload": workload,
+                    "metric": metric,
+                    "before": old["value"],
+                    "after": entry["value"],
+                    "after_over_before": entry["value"] / old["value"] if old["value"] else None,
+                    "failed": f"{before[workload]['failed']} -> {result['failed']}",
+                }
+            )
+    return rows
+
+
+def record_perfbench(path: Path, args) -> int:
+    """Write (when logs are given) and report one ``BENCH_<n>.json``."""
+    if args.parent_log is not None or args.change_log is not None:
+        if None in (args.parent_log, args.change_log, args.parent_commit, args.change_commit):
+            raise SystemExit("--perfbench needs both logs and both commit ids to record")
+        document = {
+            "command": "python3 perfbench/run.py --workload all",
+            "parent": {"commit": args.parent_commit, "results": perfbench_results(args.parent_log)},
+            "change": {"commit": args.change_commit, "results": perfbench_results(args.change_log)},
+        }
+        path.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
+        print(f"wrote {path}")
+    document = json.loads(path.read_text(encoding="utf-8"))
+    columns = ["workload", "metric", "before", "after", "after_over_before", "failed"]
+    print(
+        render_table(
+            delta_rows(document["parent"]["results"], document["change"]["results"]),
+            columns=columns,
+            title=f"{path.name}: change {document['change']['commit'][:12]} "
+            f"against parent {document['parent']['commit'][:12]}",
+        )
+    )
+    earlier = [
+        other
+        for other in path.parent.glob("BENCH_*.json")
+        if other.stem.removeprefix("BENCH_").isdigit()
+        and _bench_number(other) < _bench_number(path)
+    ]
+    if not earlier:
+        print(f"\nno earlier BENCH_*.json beside {path.name}: no delta to report")
+        return 0
+    previous_path = max(earlier, key=_bench_number)
+    previous = json.loads(previous_path.read_text(encoding="utf-8"))
+    print()
+    print(
+        render_table(
+            delta_rows(previous["change"]["results"], document["change"]["results"]),
+            columns=columns,
+            title=f"{path.name} against {previous_path.name} (change over change)",
+        )
+    )
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -107,7 +204,20 @@ def main(argv: list[str] | None = None) -> int:
         help="write the merged summary JSON (and CSV twin) here; "
         "default: <results-dir>/summary.json",
     )
+    parser.add_argument(
+        "--perfbench",
+        type=Path,
+        default=None,
+        metavar="BENCH_N.json",
+        help="record/report the repository benchmark in this file instead",
+    )
+    parser.add_argument("--parent-log", type=Path, default=None)
+    parser.add_argument("--change-log", type=Path, default=None)
+    parser.add_argument("--parent-commit", default=None)
+    parser.add_argument("--change-commit", default=None)
     args = parser.parse_args(argv)
+    if args.perfbench is not None:
+        return record_perfbench(args.perfbench, args)
     output = args.output if args.output is not None else args.results_dir / "summary.json"
     return summarize(args.results_dir, output)
 

@@ -21,7 +21,7 @@ One integration path serves every caller.  :meth:`NodeEmulator.emulate` is
 3. **load** — the resolved energies become one per-unit :class:`Demand`
    vector (``+inf`` where a round is unresolved);
 4. **ledger** — :func:`integrate` takes the whole harvest from one
-   ``energy_sweep_j`` call and runs the storage
+   ``energy_sweep_j`` call (:func:`unit_harvest`) and runs the storage
    :func:`~repro.scavenger.storage.trajectory` kernel, then raises the first
    error the ledger walk reaches: an attempted unresolved round or an
    out-of-range temperature, on exactly the unit the step-by-step scalar
@@ -30,7 +30,8 @@ One integration path serves every caller.  :meth:`NodeEmulator.emulate` is
 5. **result** — :func:`summarize` plus the sampled state log.
 
 The fleet runner calls the same functions on tables shared by a whole cohort
-of vehicles.
+of vehicles, and integrates the ledgers of a whole chunk of vehicles in one
+:func:`integrate_batch` call.
 """
 
 from __future__ import annotations
@@ -58,7 +59,12 @@ from repro.core.trace import PowerTrace
 from repro.errors import ConfigurationError, EmulationError, ScheduleError
 from repro.power.database import PowerDatabase
 from repro.scavenger.base import EnergyScavenger
-from repro.scavenger.storage import StorageElement, StorageTrajectory, trajectory
+from repro.scavenger.storage import (
+    StorageElement,
+    StorageTrajectory,
+    TrajectoryBatch,
+    trajectory,
+)
 from repro.timing.schedule import RevolutionSchedule
 from repro.timing.wheel_round import WheelRound, iter_wheel_rounds
 from repro.vehicle.drive_cycle import DriveCycle
@@ -366,6 +372,17 @@ class Demand:
             )
 
 
+def unit_harvest(table: CycleTable, scavenger: EnergyScavenger) -> np.ndarray:
+    """Per-unit harvest of one run: every wheel round's from ONE
+    ``energy_sweep_j`` call, zero on idle units."""
+    rounds = table.round_indices
+    harvest = np.zeros(len(table.is_round))
+    harvest[rounds] = scavenger.energy_sweep_j(table.speeds[rounds])
+    if np.any(harvest < 0.0):
+        raise EmulationError("cannot deposit negative energy")
+    return harvest
+
+
 def integrate(
     table: CycleTable,
     demand: Demand,
@@ -375,16 +392,12 @@ def integrate(
 ) -> tuple[np.ndarray, StorageTrajectory]:
     """Harvest and ledger of one run: ``(per-unit harvest, trajectory)``.
 
-    Every wheel round's harvest comes from ONE ``energy_sweep_j`` call; the
-    storage ledger is the pure :func:`~repro.scavenger.storage.trajectory`
-    kernel, which leaves ``storage`` untouched.  Raises the first error the
-    run reaches (:meth:`Demand.raise_first_error`).
+    The harvest is :func:`unit_harvest`; the storage ledger is the pure
+    :func:`~repro.scavenger.storage.trajectory` kernel, which leaves
+    ``storage`` untouched.  Raises the first error the run reaches
+    (:meth:`Demand.raise_first_error`).
     """
-    rounds = table.round_indices
-    harvest = np.zeros(len(table.is_round))
-    harvest[rounds] = scavenger.energy_sweep_j(table.speeds[rounds])
-    if np.any(harvest < 0.0):
-        raise EmulationError("cannot deposit negative energy")
+    harvest = unit_harvest(table, scavenger)
     # The storage's initial charge is validated at construction, so it is
     # replayed without the per-call range check.
     traj = trajectory(
@@ -396,6 +409,23 @@ def integrate(
     )
     demand.raise_first_error(traj.attempted, temps)
     return harvest, traj
+
+
+def integrate_batch(runs) -> TrajectoryBatch:
+    """The ledgers of many runs in ONE :func:`~repro.scavenger.storage.trajectory` call.
+
+    ``runs`` holds one ``(table, demand, storage, harvest)`` per run, the
+    harvest from :func:`unit_harvest`.  Row ``v`` of the result is the
+    trajectory :func:`integrate` computes for run ``v``; raising the run's
+    :meth:`Demand.raise_first_error` is left to the caller.
+    """
+    return trajectory(
+        [storage for _, _, storage, _ in runs],
+        [harvest for _, _, _, harvest in runs],
+        [demand.load for _, demand, _, _ in runs],
+        [table.durations for table, _, _, _ in runs],
+        initially_active=[not storage.is_depleted for _, _, storage, _ in runs],
+    )
 
 
 def summarize(

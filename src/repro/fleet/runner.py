@@ -30,17 +30,26 @@ and shares every step that does not depend on the individual vehicle:
   is then built once per (cohort, temperatures): per cohort for thermal
   fleets, per (cohort, temperature bin) otherwise — a constant-temperature
   vehicle is a thermal one whose trajectory is constant.
+* **One ledger call per chunk** — the vehicles stream through the shared
+  :class:`~repro.scenario.engine.ChunkedEngine` chunk by chunk.  The first
+  vehicle of a chunk sets up every vehicle of it (its own scaled storage,
+  scavenger and :func:`~repro.core.emulator.unit_harvest` sweep) and
+  integrates all their storage ledgers in ONE
+  :func:`~repro.core.emulator.integrate_batch` —
+  :func:`~repro.scavenger.storage.trajectory` steps the rows together with
+  numpy.  Each vehicle then finishes alone: the errors its ledger walk
+  reached (:meth:`~repro.core.emulator.Demand.raise_first_error`),
+  :func:`~repro.core.emulator.summarize`, its survival samples and its row,
+  streamed into the fleet accumulators.
 
-Each vehicle then reduces to :func:`~repro.core.emulator.integrate` — its
-own harvest sweep and storage :func:`~repro.scavenger.storage.trajectory`
-kernel — and :func:`~repro.core.emulator.summarize`, streamed through the
-shared :class:`~repro.scenario.engine.ChunkedEngine` into the fleet
-accumulators.  Being the same calls, per-vehicle figures are bit-identical
-to a naive ``emulate()`` of the same vehicle scenario, which is what makes
-the aggregates independent of worker counts.  So are errors: a
-vehicle whose node is active on a round its schedule cannot cover, or whose
-thermal trajectory leaves the modelled range, fails with the message
-``emulate()`` raises for it.
+Each row of a batched ledger equals the single-vehicle ledger bit for bit,
+so per-vehicle figures are bit-identical to a naive ``emulate()`` of the
+same vehicle scenario, which is what makes the aggregates independent of
+worker counts (a process-pool worker runs one vehicle through
+:func:`~repro.core.emulator.integrate`).  So are errors: a vehicle whose
+node is active on a round its schedule cannot cover, or whose thermal
+trajectory leaves the modelled range, fails with the message ``emulate()``
+raises for it — and fails alone, whatever its chunk holds.
 """
 
 from __future__ import annotations
@@ -55,7 +64,9 @@ from repro.core.emulator import (
     EmulationResult,
     NodeEmulator,
     integrate,
+    integrate_batch,
     summarize,
+    unit_harvest,
 )
 from repro.core.quantize import (
     AMBIENT_QUANTUM_C,
@@ -219,15 +230,23 @@ def _vehicle_outcome(
     demand: Demand,
     temperatures,
     buckets: int,
+    ledger: tuple | None = None,
 ) -> dict[str, object]:
     """One vehicle over its cohort's shared table and demand.
 
-    The calls ``NodeEmulator.emulate()`` makes — :func:`integrate` and
+    ``ledger`` is the vehicle's ``(harvest, trajectory)`` from its chunk's
+    batch (:class:`_ChunkLedgers`); without one the vehicle runs
+    :func:`integrate` itself.  Either way these are the calls
+    ``NodeEmulator.emulate()`` makes — :func:`integrate` and
     :func:`summarize` — with this vehicle's scavenger and scaled storage, so
     the row (or the raised error) is that of a per-vehicle ``emulate()``.
     """
-    storage = scaled_storage(spec.build_storage(), storage_scale)
-    harvest, traj = integrate(table, demand, temperatures, spec.build_scavenger(), storage)
+    if ledger is None:
+        storage = scaled_storage(spec.build_storage(), storage_scale)
+        harvest, traj = integrate(table, demand, temperatures, spec.build_scavenger(), storage)
+    else:
+        harvest, traj = ledger
+        demand.raise_first_error(traj.attempted, temperatures)
     result = summarize(node_name, table, harvest, traj)
     sample_active = traj.active[table.sample_units]
     survival = _survival_from_samples(
@@ -240,6 +259,69 @@ def _vehicle_outcome(
         ),
         "survival": survival,
     }
+
+
+class _ChunkLedgers:
+    """The ledgers of the engine chunk in flight, integrated together.
+
+    :meth:`track` wraps the chunk stream the engine consumes.  The first
+    kernel call of a chunk sets up every vehicle of it in vehicle order —
+    scaled storage, scavenger, :func:`unit_harvest`, the calls a
+    per-vehicle ``emulate()`` makes — and integrates them in ONE
+    :func:`integrate_batch`; later calls read their row.  A chunk replayed
+    from a checkpoint never calls the kernel, so it computes nothing.
+
+    A setup that raises stops the batch there.  The error belongs to that
+    vehicle: its own kernel call raises it (once — a retry sets the vehicle
+    up afresh, with the vehicles after it), so the vehicles' setups run in
+    the same order and as often as they would one vehicle at a time.
+    """
+
+    def __init__(self, inputs) -> None:
+        #: vehicle -> (cohort table, demand, temperatures).
+        self._inputs = inputs
+        self._chunk: list[FleetVehicle] = []
+        self._ledgers: dict[int, tuple] = {}
+        self._errors: dict[int, Exception] = {}
+
+    def track(self, chunks):
+        for chunk in chunks:
+            self._chunk = list(chunk)
+            self._ledgers, self._errors = {}, {}
+            yield self._chunk
+
+    def get(self, vehicle: FleetVehicle) -> tuple:
+        """``(harvest, trajectory)`` of ``vehicle``; raises its setup error."""
+        error = self._errors.pop(vehicle.index, None)
+        if error is not None:
+            raise error
+        if vehicle.index not in self._ledgers:
+            self._integrate_from(vehicle)
+        return self._ledgers[vehicle.index]
+
+    def _integrate_from(self, first: FleetVehicle) -> None:
+        """Set up ``first`` and the vehicles after it, then integrate them."""
+        position = next(
+            (i for i, vehicle in enumerate(self._chunk) if vehicle.index == first.index), None
+        )
+        vehicles = [first] if position is None else self._chunk[position:]
+        runs, indices = [], []
+        for vehicle in vehicles:
+            spec = vehicle.scenario
+            table, demand, _temperatures = self._inputs(vehicle)
+            try:
+                storage = scaled_storage(spec.build_storage(), vehicle.storage_scale)
+                harvest = unit_harvest(table, spec.build_scavenger())
+            except Exception as error:
+                if vehicle.index == first.index:
+                    raise
+                self._errors[vehicle.index] = error
+                break
+            runs.append((table, demand, storage, harvest))
+            indices.append(vehicle.index)
+        batch = integrate_batch(runs)
+        for row, index in enumerate(indices):
+            self._ledgers[index] = (runs[row][3], batch.row(row))
 
 
 # ---------------------------------------------------------------------------
@@ -479,20 +561,29 @@ class FleetRunner:
         thermal_document = thermal.to_dict() if thermal is not None else None
         token = next(_RUN_TOKENS)
 
-        def kernel(vehicle: FleetVehicle) -> dict[str, object]:
+        def inputs(vehicle: FleetVehicle):
             spec = vehicle.scenario
             ckey = _cohort_key(vehicle, thermal)
             table = tables[ckey]
+            return (
+                table,
+                demands[_demand_key(ckey, spec, thermal)],
+                _temperatures(table, spec, thermal),
+            )
+
+        ledgers = _ChunkLedgers(inputs)
+
+        def kernel(vehicle: FleetVehicle) -> dict[str, object]:
+            spec = vehicle.scenario
             return _vehicle_outcome(
                 vehicle.index,
                 spec,
                 vehicle.speed_scale,
                 vehicle.storage_scale,
                 probes[_group_key(spec)].node.name,
-                table,
-                demands[_demand_key(ckey, spec, thermal)],
-                _temperatures(table, spec, thermal),
+                *inputs(vehicle),
                 buckets,
+                ledgers.get(vehicle),
             )
 
         def payload(vehicle: FleetVehicle):
@@ -516,7 +607,7 @@ class FleetRunner:
         _SHARED_STATE[token] = (tables, demands)
         try:
             report = self._engine.run_chunks(
-                fleet.iter_chunks(),
+                ledgers.track(fleet.iter_chunks()),
                 kernel,
                 lambda _index, outcome: accumulator.add(outcome),
                 checkpoint=store,

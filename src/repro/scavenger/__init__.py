@@ -17,6 +17,7 @@ from repro.scavenger.profiles import TabulatedScavenger
 from repro.scavenger.storage import (
     StorageElement,
     StorageTrajectory,
+    TrajectoryBatch,
     supercapacitor,
     thin_film_battery,
     trajectory,
@@ -31,6 +32,7 @@ __all__ = [
     "PowerConditioning",
     "StorageElement",
     "StorageTrajectory",
+    "TrajectoryBatch",
     "supercapacitor",
     "thin_film_battery",
     "trajectory",

@@ -10,6 +10,7 @@ threshold, which is exactly how the paper identifies operating windows.
 
 from __future__ import annotations
 
+import array
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -25,12 +26,19 @@ from repro.errors import ConfigurationError, EmulationError
 # integrates through.  Keeping them single-sourced is what makes the
 # emulator's byte-identity contract cheap to maintain — a change to the
 # ledger semantics cannot desynchronize the two.
+#
+# Each primitive takes floats (one ledger) or ``(V,)`` arrays (V ledgers
+# stepped together, elementwise).  The array form keeps Python's ``min``
+# tie rule — ``min(a, b)`` is ``a`` unless ``b < a`` — as
+# ``np.where(b < a, b, a)``: ``np.minimum`` need not pick the same operand
+# of two signed zeros.
 # ---------------------------------------------------------------------------
 
+#: One ledger's value, or the values of V ledgers.
+Values = float | np.ndarray
 
-def deposit_step(
-    charge_j: float, stored_j: float, capacity_j: float
-) -> tuple[float, float]:
+
+def deposit_step(charge_j: Values, stored_j: Values, capacity_j: Values) -> tuple[Values, Values]:
     """One deposit: bank ``stored_j`` (already after charging losses).
 
     Returns ``(new_charge, banked)`` where ``banked`` is clipped to the
@@ -38,24 +46,33 @@ def deposit_step(
     storage is full).
     """
     headroom = capacity_j - charge_j
-    banked = min(stored_j, headroom)
+    if isinstance(headroom, np.ndarray):
+        banked = np.where(headroom < stored_j, headroom, stored_j)
+    else:
+        banked = min(stored_j, headroom)
     return charge_j + banked, banked
 
 
-def withdraw_step(charge_j: float, required_j: float) -> tuple[float, bool]:
+def withdraw_step(charge_j: Values, required_j: Values) -> tuple[Values, bool | np.ndarray]:
     """One withdrawal: drain ``required_j`` (already including discharge losses).
 
     Returns ``(new_charge, success)``; a shortfall drains the element to zero
     and reports failure — the brown-out semantics of the emulation.
     """
-    if required_j > charge_j:
+    short = required_j > charge_j
+    if isinstance(short, np.ndarray):
+        return np.where(short, 0.0, charge_j - required_j), ~short
+    if short:
         return 0.0, False
     return charge_j - required_j, True
 
 
-def leak_step(charge_j: float, leak_j: float) -> tuple[float, float]:
+def leak_step(charge_j: Values, leak_j: Values) -> tuple[Values, Values]:
     """One self-discharge step; returns ``(new_charge, loss)``."""
-    loss = min(charge_j, leak_j)
+    if isinstance(charge_j, np.ndarray):
+        loss = np.where(leak_j < charge_j, leak_j, charge_j)
+    else:
+        loss = min(charge_j, leak_j)
     return charge_j - loss, loss
 
 
@@ -235,8 +252,19 @@ def thin_film_battery(capacity_j: float = 2.5, initial_fraction: float = 0.5) ->
 
 
 # ---------------------------------------------------------------------------
-# Vectorized trajectory kernel
+# Trajectory kernel
 # ---------------------------------------------------------------------------
+
+#: The smallest batch :func:`trajectory` integrates with the numpy step
+#: loop; a smaller one is scanned row by row.  A numpy operation over a few
+#: elements costs about as much as over a few dozen, so where events keep
+#: the loop stepping, it only beats the scans from this many rows on
+#: (measured V -> ms table in the ROADMAP's "Performance architecture").
+VECTOR_MIN_ROWS = 4
+
+#: Steps the batched ledger accumulates at once before it checks for events
+#: (see :func:`_scan_rows`).
+WINDOW_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -277,71 +305,304 @@ class StorageTrajectory:
         return len(self.charge_j)
 
 
-def reference_scan(
-    stored,
-    required,
-    load,
-    leak_amounts,
-    charge,
-    active: bool,
-    capacity: float,
-    restart: float,
-):
-    """The authoritative storage ledger recurrence (the ONE copy of the math).
+#: The per-step arrays of a trajectory and their dtypes.
+_STEP_ARRAYS = {
+    "charge_j": float,
+    "active": bool,
+    "banked_j": float,
+    "drawn_j": float,
+    "attempted": bool,
+    "withdrew": bool,
+}
 
-    Inputs are the hoisted per-step quantities prepared by
-    :func:`trajectory`; every step applies the shared module-level step
-    primitives in the exact order of the mutating :class:`StorageElement`
-    replay, so the scan is bitwise identical to stepping the element
-    (property-tested).
 
-    Returns ``(charge_out, active_out, banked_out, drawn_out, attempted,
-    withdrew, brownout_events, final_charge)``.
+@dataclass(frozen=True)
+class TrajectoryBatch:
+    """The trajectories of several ledgers integrated in one call.
+
+    The six per-step arrays of :class:`StorageTrajectory` hold the rows back
+    to back: row ``v`` spans ``offsets[v]:offsets[v + 1]``, so ``len()`` is
+    the number of steps integrated over all rows.  ``brownout_events`` and
+    ``final_charge_j`` are per row; :meth:`row` returns one row as a
+    :class:`StorageTrajectory` of views.
     """
-    count = len(stored)
-    charge_out = np.empty(count)
-    active_out = np.empty(count, dtype=bool)
-    banked_out = np.empty(count)
-    drawn_out = np.zeros(count)
-    attempted = np.zeros(count, dtype=bool)
-    withdrew = np.zeros(count, dtype=bool)
-    brownouts = 0
-    for i in range(count):
-        if not active and charge >= restart:
-            active = True
-        charge, banked_out[i] = deposit_step(charge, stored[i], capacity)
-        if active:
-            attempted[i] = True
-            charge, success = withdraw_step(charge, required[i])
-            if success:
-                withdrew[i] = True
-                drawn_out[i] = load[i]
-            else:
-                active = False
-                brownouts += 1
-        charge, _loss = leak_step(charge, leak_amounts[i])
-        charge_out[i] = charge
-        active_out[i] = active
-    return (
-        charge_out,
-        active_out,
-        banked_out,
-        drawn_out,
-        attempted,
-        withdrew,
-        brownouts,
-        charge,
+
+    charge_j: np.ndarray
+    active: np.ndarray
+    banked_j: np.ndarray
+    drawn_j: np.ndarray
+    attempted: np.ndarray
+    withdrew: np.ndarray
+    offsets: np.ndarray
+    brownout_events: np.ndarray
+    final_charge_j: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.offsets[-1])
+
+    def row(self, index: int) -> StorageTrajectory:
+        """Row ``index`` as a :class:`StorageTrajectory`."""
+        part = slice(int(self.offsets[index]), int(self.offsets[index + 1]))
+        return StorageTrajectory(
+            **{name: getattr(self, name)[part] for name in _STEP_ARRAYS},
+            brownout_events=int(self.brownout_events[index]),
+            final_charge_j=float(self.final_charge_j[index]),
+        )
+
+
+def _flows(harvest_j, load_j, leak_s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One row's per-step ``(harvest, load, leak_s)`` arrays, leak broadcast."""
+    harvest = np.asarray(harvest_j, dtype=float)
+    load = np.asarray(load_j, dtype=float)
+    count = len(harvest)
+    if len(load) != count:
+        raise EmulationError("harvest and load arrays must have the same length")
+    leak = np.asarray(leak_s, dtype=float)
+    if leak.shape != (count,):
+        leak = np.broadcast_to(leak, (count,))
+    return harvest, load, leak
+
+
+def _check_flows(harvest: np.ndarray, load: np.ndarray, leak: np.ndarray) -> None:
+    if np.any(harvest < 0.0):
+        raise EmulationError("cannot deposit negative energy")
+    if np.any(load < 0.0):
+        raise EmulationError("cannot withdraw negative energy")
+    if np.any(leak < 0.0):
+        raise EmulationError("duration must be non-negative")
+
+
+def _start(storage: StorageElement, initial_charge_j, initially_active) -> tuple[float, bool]:
+    """One row's starting ``(charge, active)``."""
+    if initial_charge_j is None:
+        # Validated once at element construction; revalidating per call
+        # would charge every vehicle of a fleet loop for the same check.
+        charge = float(storage.initial_charge_j)
+    else:
+        charge = float(initial_charge_j)
+        if not 0.0 <= charge <= storage.capacity_j:
+            raise EmulationError(
+                "the initial charge must lie within the storage capacity"
+            )
+    active = bool(
+        charge >= storage.minimum_operating_j if initially_active is None else initially_active
+    )
+    return charge, active
+
+
+def _scan_row(storage: StorageElement, flows: tuple, start: tuple) -> StorageTrajectory:
+    """One checked row through :func:`_scan`.
+
+    The per-step conversions are hoisted out of the scan: they are the
+    exact expressions the scalar methods apply per call, evaluated
+    elementwise.
+    """
+    harvest, load, leak = flows
+    _check_flows(harvest, load, leak)
+    return _scan(
+        harvest * storage.charge_efficiency,
+        load / storage.discharge_efficiency,
+        load,
+        storage.self_discharge_w * leak,
+        *start,
+        float(storage.capacity_j),
+        float(storage.restart_level_j),
     )
 
 
+def _scan(stored, required, load, leak_amounts, charge, active, capacity, restart):
+    """One ledger stepped in a scalar loop, in the order of the mutating
+    :class:`StorageElement` replay: restart check, deposit, withdrawal if
+    active, leak.  The loop reads the arrays through memoryviews, which
+    yield Python floats (exactly the float64 values) that step faster than
+    numpy scalars, and appends to typed arrays."""
+    charge_out, banked_out = array.array("d"), array.array("d")
+    attempted, withdrew = array.array("B"), array.array("B")
+    brownouts = 0
+    for stored_j, required_j, leak_j in zip(
+        memoryview(stored), memoryview(required), memoryview(leak_amounts)
+    ):
+        if not active and charge >= restart:
+            active = True
+        charge, banked = deposit_step(charge, stored_j, capacity)
+        banked_out.append(banked)
+        attempted.append(active)
+        if active:
+            charge, active = withdraw_step(charge, required_j)
+            if not active:
+                brownouts += 1
+        withdrew.append(active)
+        charge, _loss = leak_step(charge, leak_j)
+        charge_out.append(charge)
+    withdrew = np.frombuffer(withdrew, dtype=bool)
+    return StorageTrajectory(
+        charge_j=np.frombuffer(charge_out, dtype=float),
+        # A step ends active exactly when its withdrawal succeeded.
+        active=withdrew.copy(),
+        banked_j=np.frombuffer(banked_out, dtype=float),
+        drawn_j=np.where(withdrew, load, 0.0),
+        attempted=np.frombuffer(attempted, dtype=bool),
+        withdrew=withdrew,
+        brownout_events=brownouts,
+        final_charge_j=float(charge),
+    )
+
+
+def _pack(rows: list[StorageTrajectory]) -> TrajectoryBatch:
+    """Row trajectories laid back to back as one :class:`TrajectoryBatch`."""
+    lengths = [len(row) for row in rows]
+    return TrajectoryBatch(
+        **{
+            name: np.concatenate([getattr(row, name) for row in rows])
+            if rows
+            else np.empty(0, dtype=dtype)
+            for name, dtype in _STEP_ARRAYS.items()
+        },
+        offsets=np.concatenate(([0], np.cumsum(lengths, dtype=np.intp))),
+        brownout_events=np.array([row.brownout_events for row in rows], dtype=np.intp),
+        final_charge_j=np.array([row.final_charge_j for row in rows], dtype=float),
+    )
+
+
+def _scan_rows(storages: list, flows: list, starts: list) -> TrajectoryBatch:
+    """All rows stepped together: one loop over steps, numpy across rows.
+
+    Most steps change nothing but the charge: no deposit meets the capacity,
+    no withdrawal falls short, no leak empties the element and no
+    browned-out row restarts.  Over such a stretch the three primitives of
+    every step reduce to ``((charge + stored) - required) - leak``, left to
+    right (an inactive row withdraws ``-0.0``, which adds nothing) — exactly
+    the partial sums ``np.add.accumulate`` forms over the interleaved flows.
+    So the loop goes window by window: it accumulates the next
+    :data:`WINDOW_STEPS` steps of every row at once, keeps them up to the
+    first step on which any row meets one of those events, and steps the
+    rest of the window through the primitives.
+
+    Rows shorter than the longest are padded with zero flows; the padding
+    never reaches the result, which keeps each row's real prefix only.
+    """
+    rows = len(storages)
+    lengths = np.array([len(harvest) for harvest, _, _ in flows], dtype=np.intp)
+    steps = int(lengths.max())
+    padded = np.zeros((3, rows, steps))
+    for v, row_flows in enumerate(flows):
+        padded[:, v, : lengths[v]] = row_flows
+    harvest, load, leak = padded
+    _check_flows(harvest, load, leak)
+
+    def column(name: str) -> np.ndarray:
+        return np.array([getattr(element, name) for element in storages], dtype=float)
+
+    stored = harvest * column("charge_efficiency")[:, None]
+    required = load / column("discharge_efficiency")[:, None]
+    leak = column("self_discharge_w")[:, None] * leak
+    capacity = column("capacity_j")
+    restart = column("restart_level_j")
+    initial = np.array([charge for charge, _ in starts], dtype=float)
+    active = np.array([state for _, state in starts], dtype=bool)
+    real = np.arange(steps) < lengths[:, None]
+
+    # (V, T) buffers, so each row's steps end up contiguous.
+    charge_out = np.empty((rows, steps))
+    banked_out = np.empty((rows, steps))
+    attempted = np.empty((rows, steps), dtype=bool)
+    withdrew = np.empty((rows, steps), dtype=bool)
+    charge = initial
+    padded_from = int(lengths.min())
+    for start in range(0, steps, WINDOW_STEPS):
+        window = slice(start, min(start + WINDOW_STEPS, steps))
+        quiet, charges = _quiet_steps(
+            charge,
+            active,
+            capacity,
+            restart,
+            stored[:, window],
+            required[:, window],
+            leak[:, window],
+            real[:, window] if window.stop > padded_from else None,
+        )
+        if quiet:
+            done = slice(start, start + quiet)
+            charge_out[:, done] = charges
+            banked_out[:, done] = stored[:, done]
+            attempted[:, done] = active[:, None]
+            withdrew[:, done] = active[:, None]
+            charge = charges[:, -1]
+        for i in range(start + quiet, window.stop):
+            # ``active`` is always a view of the step's flag column: the
+            # restart check writes the attempted one, the withdrawal the
+            # withdrew one.
+            active = np.logical_or(active, charge >= restart, out=attempted[:, i])
+            charge, banked_out[:, i] = deposit_step(charge, stored[:, i], capacity)
+            drained, success = withdraw_step(charge, required[:, i])
+            charge = np.where(active, drained, charge)
+            active = np.logical_and(active, success, out=withdrew[:, i])
+            charge, _loss = leak_step(charge, leak[:, i])
+            charge_out[:, i] = charge
+
+    withdrew_rows = withdrew[real]
+    attempted_rows = attempted[real]
+    charge_rows = charge_out[real]
+    offsets = np.concatenate(([0], np.cumsum(lengths)))
+    failed = np.concatenate(([0], np.cumsum(attempted_rows & ~withdrew_rows)))
+    final = initial.copy()
+    ends = lengths > 0
+    final[ends] = charge_rows[offsets[1:][ends] - 1]
+    return TrajectoryBatch(
+        charge_j=charge_rows,
+        # A step ends active exactly when its withdrawal succeeded.
+        active=withdrew_rows.copy(),
+        banked_j=banked_out[real],
+        drawn_j=np.where(withdrew_rows, load[real], 0.0),
+        attempted=attempted_rows,
+        withdrew=withdrew_rows,
+        offsets=offsets,
+        brownout_events=failed[offsets[1:]] - failed[offsets[:-1]],
+        final_charge_j=final,
+    )
+
+
+def _quiet_steps(charge, active, capacity, restart, stored, required, leak, real):
+    """How many leading steps of a window are free of events for every row.
+
+    Returns ``(count, charges)`` with the ``(V, count)`` charges after each
+    of those steps.  Each row's flows are accumulated from its ``charge``;
+    an event is a deposit meeting the capacity, an active row's withdrawal
+    falling short, an inactive row reaching its restart level, or a leak
+    emptying the element (any step the sums would get wrong).  ``real``
+    masks the padding steps of a window that has some; they raise no events.
+    """
+    width = stored.shape[1]
+    flows = np.empty((len(charge), 3 * width + 1))
+    flows[:, 0] = charge
+    flows[:, 1::3] = stored
+    np.negative(required, out=flows[:, 2::3])
+    if not active.all():
+        flows[~active, 2::3] = -0.0
+    np.negative(leak, out=flows[:, 3::3])
+    with np.errstate(invalid="ignore", over="ignore"):
+        sums = np.add.accumulate(flows, axis=1)
+        before, deposited, withdrawn = sums[:, 0:-1:3], sums[:, 1::3], sums[:, 2::3]
+        events = (capacity[:, None] - before) < stored
+        events |= np.where(
+            active[:, None], required > deposited, before >= restart[:, None]
+        )
+        events |= ~(leak <= withdrawn)
+    if real is not None:
+        events &= real
+    hits = np.flatnonzero(events.any(axis=0))
+    count = int(hits[0]) if hits.size else width
+    return count, sums[:, 3 : 3 * count + 1 : 3]
+
+
 def trajectory(
-    storage: StorageElement,
+    storage,
     harvest_j,
     load_j,
     leak_s,
-    initial_charge_j: float | None = None,
-    initially_active: bool | None = None,
-) -> StorageTrajectory:
+    initial_charge_j=None,
+    initially_active=None,
+):
     """Pure, array-based replay of the storage ledger over N steps.
 
     The vectorized counterpart of stepping a :class:`StorageElement` through
@@ -358,8 +619,18 @@ def trajectory(
     operation order, so the trajectory is bitwise identical to the scalar
     replay (property-tested).
 
+    **Batches.**  Passing a sequence of V storage elements integrates V
+    independent ledgers in one call: every other argument is then a
+    sequence of V per-row values (rows may differ in length; ``leak_s`` may
+    also be one scalar for all), and the result is a
+    :class:`TrajectoryBatch`.  Batches of at least :data:`VECTOR_MIN_ROWS`
+    rows run one loop over the steps with numpy across the rows; smaller
+    ones scan row by row.  Either way each row equals its single-element
+    call bit for bit.
+
     Args:
-        storage: parameter source (capacity, efficiencies, thresholds).
+        storage: parameter source (capacity, efficiencies, thresholds), or
+            a sequence of them.
         harvest_j: per-step harvested energy at the storage input, ``(N,)``.
         load_j: per-step load energy the node *wants* delivered, ``(N,)``;
             only drawn while the node is active.
@@ -375,63 +646,29 @@ def trajectory(
             on the starting charge (``charge >= minimum_operating_j``).
 
     Returns:
-        A :class:`StorageTrajectory` with per-step charge/activity/flows.
+        A :class:`StorageTrajectory` with per-step charge/activity/flows (a
+        :class:`TrajectoryBatch` for a sequence of elements).
     """
-    harvest = np.asarray(harvest_j, dtype=float)
-    load = np.asarray(load_j, dtype=float)
-    count = len(harvest)
-    leak = np.broadcast_to(np.asarray(leak_s, dtype=float), (count,))
-    if len(load) != count:
-        raise EmulationError("harvest and load arrays must have the same length")
-    if np.any(harvest < 0.0):
-        raise EmulationError("cannot deposit negative energy")
-    if np.any(load < 0.0):
-        raise EmulationError("cannot withdraw negative energy")
-    if np.any(leak < 0.0):
-        raise EmulationError("duration must be non-negative")
-
-    if initial_charge_j is None:
-        # Validated once at element construction; revalidating per call
-        # would charge every vehicle of a fleet loop for the same check.
-        charge = storage.initial_charge_j
-    else:
-        charge = float(initial_charge_j)
-        if not 0.0 <= charge <= storage.capacity_j:
-            raise EmulationError(
-                "the initial charge must lie within the storage capacity"
-            )
-    active = (
-        charge >= storage.minimum_operating_j
-        if initially_active is None
-        else bool(initially_active)
+    if isinstance(storage, StorageElement):
+        return _scan_row(
+            storage,
+            _flows(harvest_j, load_j, leak_s),
+            _start(storage, initial_charge_j, initially_active),
+        )
+    storages = list(storage)
+    rows = len(storages)
+    per_row = (
+        list(harvest_j),
+        list(load_j),
+        [leak_s] * rows if np.isscalar(leak_s) else list(leak_s),
+        [None] * rows if initial_charge_j is None else list(initial_charge_j),
+        [None] * rows if initially_active is None else list(initially_active),
     )
-    capacity = storage.capacity_j
-    restart = storage.restart_level_j
-    # Hoist the per-step conversions out of the scan: these are the exact
-    # expressions the scalar methods apply per call, evaluated elementwise.
-    stored = harvest * storage.charge_efficiency
-    required = load / storage.discharge_efficiency
-    leak_amounts = storage.self_discharge_w * leak
-
-    (
-        charge_out,
-        active_out,
-        banked_out,
-        drawn_out,
-        attempted,
-        withdrew,
-        brownouts,
-        final_charge,
-    ) = reference_scan(
-        stored, required, load, leak_amounts, charge, active, capacity, restart
-    )
-    return StorageTrajectory(
-        charge_j=charge_out,
-        active=active_out,
-        banked_j=banked_out,
-        drawn_j=drawn_out,
-        attempted=attempted,
-        withdrew=withdrew,
-        brownout_events=int(brownouts),
-        final_charge_j=float(final_charge),
-    )
+    if any(len(values) != rows for values in per_row):
+        raise EmulationError("a trajectory batch needs one value per storage element")
+    harvests, loads, leaks, charges, actives = per_row
+    flows = [_flows(*row) for row in zip(harvests, loads, leaks)]
+    starts = [_start(*row) for row in zip(storages, charges, actives)]
+    if rows < VECTOR_MIN_ROWS:
+        return _pack([_scan_row(*row) for row in zip(storages, flows, starts)])
+    return _scan_rows(storages, flows, starts)

@@ -294,6 +294,73 @@ class TestCycleMixAndTolerances:
             )
 
 
+class TestBatchedChunkFailures:
+    """One failing vehicle inside a chunk whose ledgers run as one batch."""
+
+    @staticmethod
+    def _fleet() -> FleetSpec:
+        base = ScenarioSpec(
+            name="one-bad",
+            drive_cycle={
+                "name": "ramp",
+                "params": {
+                    "start_kmh": 80.0,
+                    "end_kmh": 97.0,
+                    "ramp_duration_s": 60.0,
+                    "hold_duration_s": 20.0,
+                },
+            },
+        )
+        return FleetSpec.from_base(base, vehicles=12, seed=5)
+
+    def test_only_the_failing_vehicle_fails_and_the_rest_equal_emulate(self, monkeypatch):
+        from repro.blocks.node import SensorNode
+        from repro.errors import ReproError, ScheduleError
+        from repro.scavenger.storage import VECTOR_MIN_ROWS
+
+        fleet = self._fleet()
+        vehicles = fleet.materialize()
+        assert VECTOR_MIN_ROWS <= len(vehicles) <= fleet.chunk_vehicles
+        # A node that cannot schedule above a speed only the fastest vehicle
+        # of the chunk reaches (the others are nowhere near it).
+        top, runner_up = sorted({97.0 * v.speed_scale for v in vehicles})[-1:-3:-1]
+        limit = (top + runner_up) / 2.0
+        (bad,) = [v.index for v in vehicles if 97.0 * v.speed_scale > limit]
+        original = SensorNode.schedule_for_pattern
+
+        def limited(self, speed_kmh, *args, **kwargs):
+            if speed_kmh >= limit:
+                raise ScheduleError(f"limited test node: {speed_kmh!r} km/h")
+            return original(self, speed_kmh, *args, **kwargs)
+
+        monkeypatch.setattr(SensorNode, "schedule_for_pattern", limited)
+        result = FleetRunner(fleet, retries=1).run()
+        failures = result.metadata["failures"]
+        assert [failure["index"] for failure in failures] == [bad]
+        assert failures[0]["attempts"] == 2
+        rows = {row["vehicle"]: row for row in result.vehicle_rows}
+        assert sorted(rows) == [v.index for v in vehicles if v.index != bad]
+        for vehicle in vehicles:
+            spec = vehicle.scenario
+            emulator = NodeEmulator(
+                spec.build_node(),
+                spec.build_database(),
+                spec.build_scavenger(),
+                scaled_storage(spec.build_storage(), vehicle.storage_scale),
+                base_point=spec.operating_point(),
+            )
+            cycle = spec.build_drive_cycle().scaled(vehicle.speed_scale)
+            if vehicle.index == bad:
+                with pytest.raises(ReproError) as raised:
+                    emulator.emulate(cycle)
+                error = raised.value
+                assert failures[0]["error"] == f"{type(error).__name__}: {error}"
+                continue
+            summary = emulator.emulate(cycle).summary()
+            for key, value in summary.items():
+                assert rows[vehicle.index][key] == value, (vehicle.index, key)
+
+
 class TestScheduleStraddlingCohorts:
     """Cohorts whose scaled cycle crosses the node's feasibility limit."""
 

@@ -98,3 +98,23 @@ class TestUserExtension:
         registry = Registry("thing")
         with pytest.raises(ConfigError, match="non-empty string"):
             registry.register("", baseline_node)
+
+
+class TestSignatureMemo:
+    def test_re_registered_factory_is_validated_against_its_new_signature(self):
+        registry = Registry("thing")
+        registry.register("widget", lambda size=1.0: ("old", size))
+        assert registry.create("widget", size=2.0) == ("old", 2.0)
+        registry.unregister("widget")
+        registry.register("widget", lambda width=1.0: ("new", width))
+        assert registry.create("widget", width=3.0) == ("new", 3.0)
+        with pytest.raises(ConfigError, match="invalid parameters"):
+            registry.create("widget", size=2.0)
+
+    def test_parameters_are_validated_on_every_call(self):
+        registry = Registry("thing")
+        registry.register("widget", lambda size=1.0: size)
+        assert registry.create("widget", size=2.0) == 2.0
+        for _ in range(2):
+            with pytest.raises(ConfigError, match="invalid parameters"):
+                registry.create("widget", colour="red")
