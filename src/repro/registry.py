@@ -31,9 +31,11 @@ class Registry:
     def __init__(self, kind: str) -> None:
         self.kind = kind
         self._factories: dict[str, Callable[..., object]] = {}
-        #: name -> the factory's signature (``None`` for C callables),
+        #: name -> (factory, its signature or ``None`` for C callables),
         #: computed on first use; dropped when the name is (un)registered.
-        self._signatures: dict[str, inspect.Signature | None] = {}
+        #: The factory is kept to check identity, so a memo filled by a
+        #: ``create`` racing a re-registration is never used for the new one.
+        self._signatures: dict[str, tuple[Callable[..., object], inspect.Signature | None]] = {}
 
     # -- registration -------------------------------------------------------
 
@@ -101,14 +103,15 @@ class Registry:
         surfaces as its own traceback.
         """
         factory = self.factory(name)
-        try:
-            signature = self._signatures[name]
-        except KeyError:
+        memo = self._signatures.get(name)
+        if memo is not None and memo[0] is factory:
+            signature = memo[1]
+        else:
             try:
                 signature = inspect.signature(factory)
             except (TypeError, ValueError):  # pragma: no cover - C callables
                 signature = None
-            self._signatures[name] = signature
+            self._signatures[name] = (factory, signature)
         if signature is not None:
             try:
                 signature.bind(**params)
