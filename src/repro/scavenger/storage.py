@@ -35,10 +35,12 @@ from repro.errors import ConfigurationError, EmulationError
 # ---------------------------------------------------------------------------
 
 #: One ledger's value, or the values of V ledgers.
-Values = float | np.ndarray
+_Values = float | np.ndarray
 
 
-def deposit_step(charge_j: Values, stored_j: Values, capacity_j: Values) -> tuple[Values, Values]:
+def deposit_step(
+    charge_j: _Values, stored_j: _Values, capacity_j: _Values
+) -> tuple[_Values, _Values]:
     """One deposit: bank ``stored_j`` (already after charging losses).
 
     Returns ``(new_charge, banked)`` where ``banked`` is clipped to the
@@ -53,7 +55,7 @@ def deposit_step(charge_j: Values, stored_j: Values, capacity_j: Values) -> tupl
     return charge_j + banked, banked
 
 
-def withdraw_step(charge_j: Values, required_j: Values) -> tuple[Values, bool | np.ndarray]:
+def withdraw_step(charge_j: _Values, required_j: _Values) -> tuple[_Values, bool | np.ndarray]:
     """One withdrawal: drain ``required_j`` (already including discharge losses).
 
     Returns ``(new_charge, success)``; a shortfall drains the element to zero
@@ -67,7 +69,7 @@ def withdraw_step(charge_j: Values, required_j: Values) -> tuple[Values, bool | 
     return charge_j - required_j, True
 
 
-def leak_step(charge_j: Values, leak_j: Values) -> tuple[Values, Values]:
+def leak_step(charge_j: _Values, leak_j: _Values) -> tuple[_Values, _Values]:
     """One self-discharge step; returns ``(new_charge, loss)``."""
     if isinstance(charge_j, np.ndarray):
         loss = np.where(leak_j < charge_j, leak_j, charge_j)
@@ -391,31 +393,24 @@ def _start(storage: StorageElement, initial_charge_j, initially_active) -> tuple
 
 
 def _scan_row(storage: StorageElement, flows: tuple, start: tuple) -> StorageTrajectory:
-    """One checked row through :func:`_scan`.
+    """One row stepped in a scalar loop, in the order of the mutating
+    :class:`StorageElement` replay: restart check, deposit, withdrawal if
+    active, leak.
 
-    The per-step conversions are hoisted out of the scan: they are the
+    The per-step conversions are hoisted out of the loop: they are the
     exact expressions the scalar methods apply per call, evaluated
-    elementwise.
+    elementwise.  The loop reads them through memoryviews, which yield
+    Python floats (exactly the float64 values) that step faster than numpy
+    scalars, and appends to typed arrays.
     """
     harvest, load, leak = flows
     _check_flows(harvest, load, leak)
-    return _scan(
-        harvest * storage.charge_efficiency,
-        load / storage.discharge_efficiency,
-        load,
-        storage.self_discharge_w * leak,
-        *start,
-        float(storage.capacity_j),
-        float(storage.restart_level_j),
-    )
-
-
-def _scan(stored, required, load, leak_amounts, charge, active, capacity, restart):
-    """One ledger stepped in a scalar loop, in the order of the mutating
-    :class:`StorageElement` replay: restart check, deposit, withdrawal if
-    active, leak.  The loop reads the arrays through memoryviews, which
-    yield Python floats (exactly the float64 values) that step faster than
-    numpy scalars, and appends to typed arrays."""
+    stored = harvest * storage.charge_efficiency
+    required = load / storage.discharge_efficiency
+    leak_amounts = storage.self_discharge_w * leak
+    capacity = float(storage.capacity_j)
+    restart = float(storage.restart_level_j)
+    charge, active = start
     charge_out, banked_out = array.array("d"), array.array("d")
     attempted, withdrew = array.array("B"), array.array("B")
     brownouts = 0
@@ -624,9 +619,11 @@ def trajectory(
     sequence of V per-row values (rows may differ in length; ``leak_s`` may
     also be one scalar for all), and the result is a
     :class:`TrajectoryBatch`.  Batches of at least :data:`VECTOR_MIN_ROWS`
-    rows run one loop over the steps with numpy across the rows; smaller
-    ones scan row by row.  Either way each row equals its single-element
-    call bit for bit.
+    rows run one loop over the steps with numpy across the rows (stretches
+    on which no row clips, browns out, restarts or empties its leak are
+    summed by one ``np.add.accumulate``, which forms exactly the values the
+    primitives would); smaller ones scan row by row.  Either way each row
+    equals its single-element call bit for bit.
 
     Args:
         storage: parameter source (capacity, efficiencies, thresholds), or
