@@ -105,14 +105,15 @@ def summarize(results_dir: Path, output: Path | None) -> int:
 
 
 def perfbench_results(log: Path) -> dict[str, dict]:
-    """Workload name -> the result line of each run in a perfbench log."""
-    results, workload = {}, None
+    """Workload name -> the result line of each run in a perfbench log,
+    with the run's header line (seed, seconds, inputs) under ``"run"``."""
+    results, header = {}, None
     for line in log.read_text(encoding="utf-8").splitlines():
         if line.startswith("perfbench "):
-            workload = line.split()[1]
-        elif line.startswith("{") and workload is not None:
-            results[workload] = json.loads(line)
-            workload = None
+            header = line
+        elif line.startswith("{") and header is not None:
+            results[header.split()[1]] = {"run": header, **json.loads(line)}
+            header = None
     if not results:
         raise SystemExit(f"no perfbench result lines in {log}")
     return results
