@@ -582,7 +582,9 @@ def _quiet_steps(charge, active, capacity, restart, stored, required, leak, real
         events |= np.where(
             active[:, None], required > deposited, before >= restart[:, None]
         )
-        events |= ~(leak <= withdrawn)
+        # A leak equal to the charge empties it too: the primitive then takes
+        # the charge, not the leak, which differs in the sign of a zero.
+        events |= ~(leak < withdrawn)
     if real is not None:
         events &= real
     hits = np.flatnonzero(events.any(axis=0))
