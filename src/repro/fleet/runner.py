@@ -273,8 +273,9 @@ class _ChunkLedgers:
 
     A setup that raises stops the batch there.  The error belongs to that
     vehicle: its own kernel call raises it (once — a retry sets the vehicle
-    up afresh, with the vehicles after it), so the vehicles' setups run in
-    the same order and as often as they would one vehicle at a time.
+    up afresh, with the vehicles after it), so setups run in vehicle order
+    and are repeated only when a setup itself failed.  A vehicle whose setup
+    succeeded keeps its ledger: a retry after its own demand error reuses it.
     """
 
     def __init__(self, inputs) -> None:
@@ -301,12 +302,8 @@ class _ChunkLedgers:
 
     def _integrate_from(self, first: FleetVehicle) -> None:
         """Set up ``first`` and the vehicles after it, then integrate them."""
-        position = next(
-            (i for i, vehicle in enumerate(self._chunk) if vehicle.index == first.index), None
-        )
-        vehicles = [first] if position is None else self._chunk[position:]
         runs, indices = [], []
-        for vehicle in vehicles:
+        for vehicle in self._chunk[self._chunk.index(first) :]:
             spec = vehicle.scenario
             table, demand, _temperatures = self._inputs(vehicle)
             try:

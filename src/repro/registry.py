@@ -32,9 +32,8 @@ class Registry:
         self.kind = kind
         self._factories: dict[str, Callable[..., object]] = {}
         #: name -> (factory, its signature or ``None`` for C callables),
-        #: computed on first use; dropped when the name is (un)registered.
-        #: The factory is kept to check identity, so a memo filled by a
-        #: ``create`` racing a re-registration is never used for the new one.
+        #: computed on first use and used only while the name still maps to
+        #: that same factory.
         self._signatures: dict[str, tuple[Callable[..., object], inspect.Signature | None]] = {}
 
     # -- registration -------------------------------------------------------
@@ -55,7 +54,6 @@ class Registry:
                     "unregister it first to replace it"
                 )
             self._factories[name] = target
-            self._signatures.pop(name, None)
             return target
 
         if factory is None:
@@ -67,7 +65,6 @@ class Registry:
         if name not in self._factories:
             raise ConfigError(f"no {self.kind} named {name!r} to unregister")
         del self._factories[name]
-        self._signatures.pop(name, None)
 
     # -- lookup -------------------------------------------------------------
 

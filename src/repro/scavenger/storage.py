@@ -257,13 +257,6 @@ def thin_film_battery(capacity_j: float = 2.5, initial_fraction: float = 0.5) ->
 # Trajectory kernel
 # ---------------------------------------------------------------------------
 
-#: The smallest batch :func:`trajectory` integrates with the numpy step
-#: loop; a smaller one is scanned row by row.  A numpy operation over a few
-#: elements costs about as much as over a few dozen, so where events keep
-#: the loop stepping, it only beats the scans from this many rows on
-#: (measured V -> ms table in the ROADMAP's "Performance architecture").
-VECTOR_MIN_ROWS = 4
-
 #: Steps the batched ledger accumulates at once before it checks for events
 #: (see :func:`_scan_rows`).
 WINDOW_STEPS = 64
@@ -443,22 +436,6 @@ def _scan_row(storage: StorageElement, flows: tuple, start: tuple) -> StorageTra
     )
 
 
-def _pack(rows: list[StorageTrajectory]) -> TrajectoryBatch:
-    """Row trajectories laid back to back as one :class:`TrajectoryBatch`."""
-    lengths = [len(row) for row in rows]
-    return TrajectoryBatch(
-        **{
-            name: np.concatenate([getattr(row, name) for row in rows])
-            if rows
-            else np.empty(0, dtype=dtype)
-            for name, dtype in _STEP_ARRAYS.items()
-        },
-        offsets=np.concatenate(([0], np.cumsum(lengths, dtype=np.intp))),
-        brownout_events=np.array([row.brownout_events for row in rows], dtype=np.intp),
-        final_charge_j=np.array([row.final_charge_j for row in rows], dtype=float),
-    )
-
-
 def _scan_rows(storages: list, flows: list, starts: list) -> TrajectoryBatch:
     """All rows stepped together: one loop over steps, numpy across rows.
 
@@ -478,7 +455,7 @@ def _scan_rows(storages: list, flows: list, starts: list) -> TrajectoryBatch:
     """
     rows = len(storages)
     lengths = np.array([len(harvest) for harvest, _, _ in flows], dtype=np.intp)
-    steps = int(lengths.max())
+    steps = int(lengths.max(initial=0))
     padded = np.zeros((3, rows, steps))
     for v, row_flows in enumerate(flows):
         padded[:, v, : lengths[v]] = row_flows
@@ -503,7 +480,7 @@ def _scan_rows(storages: list, flows: list, starts: list) -> TrajectoryBatch:
     attempted = np.empty((rows, steps), dtype=bool)
     withdrew = np.empty((rows, steps), dtype=bool)
     charge = initial
-    padded_from = int(lengths.min())
+    padded_from = int(lengths.min(initial=steps))
     for start in range(0, steps, WINDOW_STEPS):
         window = slice(start, min(start + WINDOW_STEPS, steps))
         quiet, charges = _quiet_steps(
@@ -620,12 +597,11 @@ def trajectory(
     independent ledgers in one call: every other argument is then a
     sequence of V per-row values (rows may differ in length; ``leak_s`` may
     also be one scalar for all), and the result is a
-    :class:`TrajectoryBatch`.  Batches of at least :data:`VECTOR_MIN_ROWS`
-    rows run one loop over the steps with numpy across the rows (stretches
-    on which no row clips, browns out, restarts or empties its leak are
-    summed by one ``np.add.accumulate``, which forms exactly the values the
-    primitives would); smaller ones scan row by row.  Either way each row
-    equals its single-element call bit for bit.
+    :class:`TrajectoryBatch`.  A batch runs one loop over the steps with
+    numpy across the rows (stretches on which no row clips, browns out,
+    restarts or empties its leak are summed by one ``np.add.accumulate``,
+    which forms exactly the values the primitives would); each row equals
+    its single-element call bit for bit.
 
     Args:
         storage: parameter source (capacity, efficiencies, thresholds), or
@@ -668,6 +644,4 @@ def trajectory(
     harvests, loads, leaks, charges, actives = per_row
     flows = [_flows(*row) for row in zip(harvests, loads, leaks)]
     starts = [_start(*row) for row in zip(storages, charges, actives)]
-    if rows < VECTOR_MIN_ROWS:
-        return _pack([_scan_row(*row) for row in zip(storages, flows, starts)])
     return _scan_rows(storages, flows, starts)

@@ -316,11 +316,10 @@ class TestBatchedChunkFailures:
     def test_only_the_failing_vehicle_fails_and_the_rest_equal_emulate(self, monkeypatch):
         from repro.blocks.node import SensorNode
         from repro.errors import ReproError, ScheduleError
-        from repro.scavenger.storage import VECTOR_MIN_ROWS
 
         fleet = self._fleet()
         vehicles = fleet.materialize()
-        assert VECTOR_MIN_ROWS <= len(vehicles) <= fleet.chunk_vehicles
+        assert len(vehicles) <= fleet.chunk_vehicles
         # A node that cannot schedule above a speed only the fastest vehicle
         # of the chunk reaches (the others are nowhere near it).
         top, runner_up = sorted({97.0 * v.speed_scale for v in vehicles})[-1:-3:-1]

@@ -1,12 +1,11 @@
 """The batched storage ledger against the mutating ``StorageElement``.
 
-``trajectory()`` integrates a sequence of storage elements in one call:
-below :data:`~repro.scavenger.storage.VECTOR_MIN_ROWS` rows it scans each
-row in a scalar loop, from there on it steps all rows together with numpy
-(accumulating event-free windows of :data:`~repro.scavenger.storage.WINDOW_STEPS`
-steps at once).  Either way every row must be the step-by-step replay of
-its own element bit for bit — charges, flags, flows, brown-out count and
-final charge — whatever the other rows of the batch do.
+``trajectory()`` integrates a sequence of storage elements in one call: it
+steps all rows together with numpy (accumulating event-free windows of
+:data:`~repro.scavenger.storage.WINDOW_STEPS` steps at once).  Every row
+must be the step-by-step replay of its own element bit for bit — charges,
+flags, flows, brown-out count and final charge — whatever the other rows of
+the batch do.
 """
 
 from __future__ import annotations
@@ -17,9 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import EmulationError
-from repro.scavenger import storage as storage_module
 from repro.scavenger.storage import (
-    VECTOR_MIN_ROWS,
     WINDOW_STEPS,
     StorageElement,
     TrajectoryBatch,
@@ -162,41 +159,19 @@ def assert_batch_replays(batch_rows):
 
 
 class TestBatchEqualsElementReplay:
-    @given(data=st.data(), rows=st.integers(min_value=1, max_value=3 * VECTOR_MIN_ROWS))
+    @given(data=st.data(), rows=st.integers(min_value=1, max_value=12))
     @settings(max_examples=60, deadline=None)
     def test_every_row_replays_its_element_bit_for_bit(self, data, rows):
         assert_batch_replays(data.draw(ledger_rows(rows)))
 
     @given(data=st.data())
     @settings(max_examples=20, deadline=None)
-    def test_quiet_windows_and_events_in_one_vector_batch(self, data):
-        # Enough rows for the numpy path, long enough for several windows.
-        assert_batch_replays(data.draw(ledger_rows(VECTOR_MIN_ROWS + 1)))
+    def test_quiet_windows_and_events_in_one_wide_batch(self, data):
+        # Rows long enough for several windows, each quiet or not.
+        assert_batch_replays(data.draw(ledger_rows(16)))
 
 
-class TestBatchDispatch:
-    def _rows(self, count: int):
-        element = StorageElement()
-        return (
-            [element] * count,
-            [np.full(5, 1e-4)] * count,
-            [np.full(5, 2e-4)] * count,
-            1.0,
-        )
-
-    @pytest.mark.parametrize(
-        "rows, vectorized", [(VECTOR_MIN_ROWS - 1, False), (VECTOR_MIN_ROWS, True)]
-    )
-    def test_batches_switch_to_numpy_at_the_crossover(self, monkeypatch, rows, vectorized):
-        calls = []
-        real = storage_module._scan_rows
-        monkeypatch.setattr(
-            storage_module, "_scan_rows", lambda *rows: calls.append(1) or real(*rows)
-        )
-        batch = trajectory(*self._rows(rows))
-        assert batch.final_charge_j.shape == (rows,)
-        assert bool(calls) is vectorized
-
+class TestBatchCalls:
     def test_single_element_call_returns_one_trajectory(self):
         element = StorageElement()
         single = trajectory(element, [1e-4] * 5, [2e-4] * 5, 1.0)
@@ -219,7 +194,6 @@ class TestBatchDispatch:
 
     def test_a_bad_row_is_rejected(self):
         element = StorageElement()
-        rows = VECTOR_MIN_ROWS
-        harvest = [[1e-4]] * (rows - 1) + [[-1e-4]]
+        harvest = [[1e-4]] * 3 + [[-1e-4]]
         with pytest.raises(EmulationError, match="negative"):
-            trajectory([element] * rows, harvest, [[1e-4]] * rows, 1.0)
+            trajectory([element] * 4, harvest, [[1e-4]] * 4, 1.0)
