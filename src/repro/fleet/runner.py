@@ -8,23 +8,27 @@ runner runs the emulator's own integration functions
 (:mod:`repro.core.emulator`: table -> resolve -> load -> ledger -> result)
 and shares every step that does not depend on the individual vehicle:
 
-* **Groups** — vehicles with the same (architecture, workload, power
-  database) share one :class:`~repro.core.evaluator.EnergyEvaluator` and
-  therefore one compiled power table, exactly like study grid points.
-* **Cohorts** — vehicles with the same (group, drive cycle, quantized
-  speed scale) share one :class:`~repro.core.emulator.CycleTable`: the
+* **One evaluator per fleet** — no fleet axis changes the architecture,
+  workload or power database, so every vehicle shares the base scenario's
+  :class:`~repro.core.evaluator.EnergyEvaluator` (one compiled power table)
+  and one probe emulator built from ``fleet.base``.
+* **Cohorts** — the fleet is drawn as columns
+  (:class:`~repro.fleet.spec.FleetChunk`), and vehicles with the same
+  (drive cycle, quantized speed scale) share one
+  :class:`~repro.core.emulator.CycleTable`: the
   per-unit arrays, the speed-key classification and the state-log sampling
   walk are computed once per cohort, not per vehicle.  Thermal fleets
-  (``FleetSpec.thermal``) add the quantized ambient as a third cohort axis:
+  (``FleetSpec.thermal``) add the ambient as a third cohort axis:
   the in-tyre :class:`~repro.conditions.temperature.TyreThermalModel` is
   replayed once per (cycle, speed-scale, ambient-bin) cohort over the
   ambient-free walk of its (cycle, speed scale) — ambients are snapped to
   the shared :func:`~repro.core.quantize.ambient_bin` centers at
   materialization — so the table carries each member vehicle's own
-  temperature trajectory.
+  temperature trajectory.  No vehicle gets a
+  :class:`~repro.scenario.spec.ScenarioSpec` of its own.
 * **One cross-vehicle sweep** — the union of quantized
-  (speed, temperature, phase-pattern) energy bins over all vehicles of a
-  group is evaluated in ONE vectorized batch call
+  (speed, temperature, phase-pattern) energy bins over all vehicles of the
+  fleet is evaluated in ONE vectorized batch call
   (:meth:`~repro.core.emulator.NodeEmulator.evaluate_energy_bins`) before
   any vehicle runs.  The load vector (:class:`~repro.core.emulator.Demand`)
   is then built once per (cohort, temperatures): per cohort for thermal
@@ -55,13 +59,12 @@ raises for it — and fails alone, whatever its chunk holds.
 from __future__ import annotations
 
 import itertools
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.core.emulator import (
     CycleTable,
-    Demand,
-    EmulationResult,
     NodeEmulator,
     integrate,
     integrate_batch,
@@ -72,7 +75,6 @@ from repro.core.quantize import (
     AMBIENT_QUANTUM_C,
     SPEED_QUANTUM_KMH,
     TEMPERATURE_QUANTUM_C,
-    ambient_bin,
     temperature_bin,
 )
 from repro.errors import ConfigError
@@ -81,101 +83,104 @@ from repro.fleet.aggregate import (
     FleetAccumulator,
     FleetResult,
 )
-from repro.fleet.spec import FleetSpec, FleetVehicle, ThermalSpec
+from repro.fleet.spec import FleetChunk, FleetSpec, ThermalSpec
 
 # ``trajectory`` stays importable from here: perfbench wraps the ledger in
 # every module that holds it, and its tests pin this module as one.
 from repro.scavenger.storage import scaled_storage, trajectory  # noqa: F401
 from repro.scenario.checkpoint import CheckpointStore
 from repro.scenario.engine import ChunkedEngine
-from repro.scenario.spec import WORKER_COMPONENTS, ComponentCache, ScenarioSpec
+from repro.scenario.spec import (
+    WORKER_COMPONENTS,
+    ComponentCache,
+    ComponentRef,
+    ScenarioSpec,
+    sized_scavenger,
+)
 
 __all__ = ["FleetRunner", "run_fleet"]
 
 
-def _group_key(spec: ScenarioSpec) -> str:
-    """The evaluator-sharing key of one vehicle scenario.
+class _Vehicle(NamedTuple):
+    """One vehicle's columns plus the keys of the cohort state it shares.
 
-    Single-sourced on the spec (``ScenarioSpec.evaluator_group_key``) so
-    fleet groups can never drift from the study evaluator cache keyed the
-    same way.
+    ``cohort`` is (cycle, speed scale), plus the ambient on a thermal fleet:
+    a replayed trajectory is a function of its ambient, which
+    materialization snapped to the bin center.  ``demand`` is the cohort,
+    plus the temperature bin of a constant-temperature vehicle.
     """
-    return spec.evaluator_group_key()
+
+    name: str
+    speed_scale: float
+    temperature_c: float
+    scavenger_size: float
+    storage_scale: float
+    cycle: ComponentRef
+    cohort: tuple
+    demand: tuple
 
 
-def _cohort_key(vehicle: FleetVehicle, thermal: ThermalSpec | None = None) -> str:
-    """The cycle-materialization key: (group, cycle reference, speed scale).
-
-    Thermal fleets add the quantized ambient bin: the replayed temperature
-    trajectory is a function of the ambient, so only vehicles in one
-    ambient bin (whose ambients were snapped to the *same* bin-center float
-    at materialization) can share one trajectory bitwise.
-    """
-    if thermal is None:
-        return repr(
-            (
-                _group_key(vehicle.scenario),
-                vehicle.scenario.drive_cycle,
-                vehicle.speed_scale,
-            )
+def _vehicles(chunk: FleetChunk, thermal: ThermalSpec | None) -> list[tuple[int, _Vehicle]]:
+    """The engine work items of one chunk: ``(vehicle index, vehicle)`` pairs."""
+    items = []
+    for row, index in enumerate(chunk.index):
+        cycle, scale = chunk.cycle[row], chunk.speed_scale[row]
+        temperature = chunk.temperature_c[row]
+        if thermal is None:
+            cohort = (cycle, scale)
+            demand = (cohort, temperature_bin(temperature))
+        else:
+            cohort = demand = (cycle, scale, temperature)
+        vehicle = _Vehicle(
+            chunk.name(row),
+            scale,
+            temperature,
+            chunk.scavenger_size[row],
+            chunk.storage_scale[row],
+            chunk.cycles[cycle],
+            cohort,
+            demand,
         )
-    return repr(
-        (
-            _group_key(vehicle.scenario),
-            vehicle.scenario.drive_cycle,
-            vehicle.speed_scale,
-            ambient_bin(vehicle.scenario.temperature_c),
-        )
-    )
+        items.append((index, vehicle))
+    return items
 
 
-def _demand_key(cohort_key: str, spec: ScenarioSpec, thermal: ThermalSpec | None):
-    """The load-vector sharing key: the cohort, plus the temperature bin of a
-    constant-temperature vehicle (a thermal cohort has one trajectory)."""
-    if thermal is not None:
-        return cohort_key
-    return (cohort_key, temperature_bin(spec.temperature_c))
-
-
-def _temperatures(table: CycleTable, spec: ScenarioSpec, thermal: ThermalSpec | None):
+def _temperatures(table: CycleTable, vehicle: _Vehicle, thermal: ThermalSpec | None):
     """One vehicle's per-unit temperatures: the replay, or its constant one."""
-    return table.temps if thermal is not None else spec.temperature_c
+    return table.temps if thermal is not None else vehicle.temperature_c
 
 
 def _walk(
     probe: NodeEmulator,
-    spec: ScenarioSpec,
-    speed_scale: float,
+    base: ScenarioSpec,
+    vehicle: _Vehicle,
     record_interval_s: float,
     idle_step_s: float,
 ) -> CycleTable:
-    """One (cycle, speed scale) walk through the group's probe emulator."""
+    """One (cycle, speed scale) walk through the fleet's probe emulator."""
+    cycle = base.with_axis("drive_cycle", vehicle.cycle).build_drive_cycle()
     return probe.materialize_cycle(
-        spec.build_drive_cycle().scaled(speed_scale),
-        idle_step_s,
-        record_interval_s=record_interval_s,
+        cycle.scaled(vehicle.speed_scale), idle_step_s, record_interval_s=record_interval_s
     )
 
 
-def _cohort_table(walk: CycleTable, spec: ScenarioSpec, thermal: ThermalSpec | None) -> CycleTable:
-    """A cohort's table: the walk, with the thermal model replayed over it.
-
-    Thermal cohorts replay a freshly built model at the cohort's bin-center
-    ambient — which IS each member vehicle's (materialization-snapped)
-    ambient, so the replayed trajectory equals each member vehicle's own.
-    """
-    return walk if thermal is None else walk.with_thermal(thermal.build(spec.temperature_c))
+def _cohort_table(walk: CycleTable, vehicle: _Vehicle, thermal: ThermalSpec | None) -> CycleTable:
+    """A cohort's table: the walk, with a fresh thermal model replayed over it
+    at the cohort's bin-center ambient (each member vehicle's own ambient)."""
+    if thermal is None:
+        return walk
+    return walk.with_thermal(thermal.build(vehicle.temperature_c))
 
 
-def _probe(components: tuple, spec: ScenarioSpec) -> NodeEmulator:
-    """A group's probe emulator: the walks, bin keys and sweep run through it."""
+def _probe(components: tuple, base: ScenarioSpec) -> NodeEmulator:
+    """The fleet's probe emulator: the walks, bin keys and sweep run through it."""
     node, database, evaluator = components
     return NodeEmulator(
         node,
         database,
-        spec.build_scavenger(),
-        spec.build_storage(),
-        base_point=spec.operating_point(),
+        base.build_scavenger(),
+        base.build_storage(),
+        base_point=base.operating_point(),
         evaluator=evaluator,
     )
 
@@ -194,79 +199,47 @@ def _survival_from_samples(
     return tuple(float(value) for value in fractions)
 
 
-def _vehicle_row(
+def _vehicle_outcome(
     vehicle_index: int,
-    spec: ScenarioSpec,
-    speed_scale: float,
-    storage_scale: float,
-    result: EmulationResult,
-    active_at_end: bool,
+    vehicle: _Vehicle,
+    node_name: str,
+    table: CycleTable,
+    harvest: np.ndarray,
+    traj,
+    buckets: int,
 ) -> dict[str, object]:
-    """The per-vehicle result row."""
+    """One vehicle's row and survival samples from its ledger.
+
+    ``(harvest, traj)`` come from :func:`integrate` or the vehicle's row of
+    its chunk's batch, with the vehicle's scavenger and scaled storage;
+    :func:`summarize` then makes the row a per-vehicle ``emulate()`` makes.
+    """
+    result = summarize(node_name, table, harvest, traj)
+    sample_active = traj.active[table.sample_units]
+    survival = _survival_from_samples(table.sample_times, sample_active, table.duration_s, buckets)
     summary = result.summary()
     hours = result.duration_s / 3600.0
     row: dict[str, object] = {
         "vehicle": vehicle_index,
-        "scenario": spec.name,
+        "scenario": vehicle.name,
         "cycle": result.cycle_name,
-        "speed_scale": speed_scale,
-        "temperature_c": spec.temperature_c,
-        "scavenger_size": spec.scavenger_size,
-        "storage_scale": storage_scale,
+        "speed_scale": vehicle.speed_scale,
+        "temperature_c": vehicle.temperature_c,
+        "scavenger_size": vehicle.scavenger_size,
+        "storage_scale": vehicle.storage_scale,
     }
     row.update(summary)
     row["brownout_per_hour"] = summary["brownout_events"] / hours if hours > 0.0 else float("nan")
-    row["active_at_end"] = bool(active_at_end)
-    return row
-
-
-def _vehicle_outcome(
-    vehicle_index: int,
-    spec: ScenarioSpec,
-    speed_scale: float,
-    storage_scale: float,
-    node_name: str,
-    table: CycleTable,
-    demand: Demand,
-    temperatures,
-    buckets: int,
-    ledger: tuple | None = None,
-) -> dict[str, object]:
-    """One vehicle over its cohort's shared table and demand.
-
-    ``ledger`` is the vehicle's ``(harvest, trajectory)`` from its chunk's
-    batch (:class:`_ChunkLedgers`); without one the vehicle runs
-    :func:`integrate` itself.  Either way these are the calls
-    ``NodeEmulator.emulate()`` makes — :func:`integrate` and
-    :func:`summarize` — with this vehicle's scavenger and scaled storage, so
-    the row (or the raised error) is that of a per-vehicle ``emulate()``.
-    """
-    if ledger is None:
-        storage = scaled_storage(spec.build_storage(), storage_scale)
-        harvest, traj = integrate(table, demand, temperatures, spec.build_scavenger(), storage)
-    else:
-        harvest, traj = ledger
-        demand.raise_first_error(traj.attempted, temperatures)
-    result = summarize(node_name, table, harvest, traj)
-    sample_active = traj.active[table.sample_units]
-    survival = _survival_from_samples(
-        table.sample_times, sample_active, table.duration_s, buckets
-    )
-    active_at_end = bool(sample_active[-1]) if sample_active.size else False
-    return {
-        "row": _vehicle_row(
-            vehicle_index, spec, speed_scale, storage_scale, result, active_at_end
-        ),
-        "survival": survival,
-    }
+    row["active_at_end"] = bool(sample_active[-1]) if sample_active.size else False
+    return {"row": row, "survival": survival}
 
 
 class _ChunkLedgers:
     """The ledgers of the engine chunk in flight, integrated together.
 
-    :meth:`track` wraps the chunk stream the engine consumes.  The first
-    kernel call of a chunk sets up every vehicle of it in vehicle order —
-    scaled storage, scavenger, :func:`unit_harvest`, the calls a
+    :meth:`track` turns the chunk stream into the engine's work items.  The
+    first :meth:`get` of a chunk sets up every vehicle of it in vehicle
+    order — scaled storage, scavenger, :func:`unit_harvest`, the calls a
     per-vehicle ``emulate()`` makes — and integrates them in ONE
     :func:`integrate_batch`; later calls read their row.  A chunk replayed
     from a checkpoint never calls the kernel, so it computes nothing.
@@ -278,44 +251,49 @@ class _ChunkLedgers:
     succeeded keeps its ledger: a retry after its own demand error reuses it.
     """
 
-    def __init__(self, inputs) -> None:
-        #: vehicle -> (cohort table, demand, temperatures).
-        self._inputs = inputs
-        self._chunk: list[FleetVehicle] = []
+    def __init__(
+        self, base: ScenarioSpec, thermal: ThermalSpec | None, tables: dict, demands: dict
+    ) -> None:
+        self._base = base
+        self._thermal = thermal
+        self._tables = tables
+        self._demands = demands
+        self._chunk: list[tuple[int, _Vehicle]] = []
         self._ledgers: dict[int, tuple] = {}
         self._errors: dict[int, Exception] = {}
 
     def track(self, chunks):
         for chunk in chunks:
-            self._chunk = list(chunk)
+            self._chunk = _vehicles(chunk, self._thermal)
             self._ledgers, self._errors = {}, {}
             yield self._chunk
 
-    def get(self, vehicle: FleetVehicle) -> tuple:
-        """``(harvest, trajectory)`` of ``vehicle``; raises its setup error."""
-        error = self._errors.pop(vehicle.index, None)
+    def get(self, index: int) -> tuple:
+        """``(harvest, trajectory)`` of vehicle ``index``; raises its setup error."""
+        error = self._errors.pop(index, None)
         if error is not None:
             raise error
-        if vehicle.index not in self._ledgers:
-            self._integrate_from(vehicle)
-        return self._ledgers[vehicle.index]
+        if index not in self._ledgers:
+            self._integrate_from(index)
+        return self._ledgers[index]
 
-    def _integrate_from(self, first: FleetVehicle) -> None:
-        """Set up ``first`` and the vehicles after it, then integrate them."""
+    def _integrate_from(self, first: int) -> None:
+        """Set up vehicle ``first`` and the vehicles after it, then integrate them."""
+        base = self._base
         runs, indices = [], []
-        for vehicle in self._chunk[self._chunk.index(first) :]:
-            spec = vehicle.scenario
-            table, demand, _temperatures = self._inputs(vehicle)
+        for index, vehicle in self._chunk[first - self._chunk[0][0] :]:
+            table = self._tables[vehicle.cohort]
             try:
-                storage = scaled_storage(spec.build_storage(), vehicle.storage_scale)
-                harvest = unit_harvest(table, spec.build_scavenger())
+                storage = scaled_storage(base.build_storage(), vehicle.storage_scale)
+                scavenger = sized_scavenger(base.scavenger, vehicle.scavenger_size)
+                harvest = unit_harvest(table, scavenger)
             except Exception as error:
-                if vehicle.index == first.index:
+                if index == first:
                     raise
-                self._errors[vehicle.index] = error
+                self._errors[index] = error
                 break
-            runs.append((table, demand, storage, harvest))
-            indices.append(vehicle.index)
+            runs.append((table, self._demands[vehicle.demand], storage, harvest))
+            indices.append(index)
         batch = integrate_batch(runs)
         for row, index in enumerate(indices):
             self._ledgers[index] = (runs[row][3], batch.row(row))
@@ -341,42 +319,27 @@ _RUN_TOKENS = itertools.count()
 
 def _process_vehicle(payload) -> dict[str, object]:
     """Pool-worker entry: one vehicle, self-contained."""
-    (
-        token,
-        document,
-        vehicle_index,
-        speed_scale,
-        storage_scale,
-        cohort_key,
-        demand_key,
-        buckets,
-        record_interval_s,
-        idle_step_s,
-        thermal_document,
-    ) = payload
-    spec = ScenarioSpec.from_dict(document)
-    thermal = (
-        ThermalSpec.coerce(thermal_document) if thermal_document is not None else None
-    )
-    components = WORKER_COMPONENTS.get(spec)
+    token, base, thermal, vehicle_index, vehicle, buckets, record_interval_s, idle_step_s = payload
+    components = WORKER_COMPONENTS.get(base)
     tables, demands = _SHARED_STATE.setdefault(token, ({}, {}))
-    table = tables.get(cohort_key)
-    demand = demands.get(demand_key)
+    table = tables.get(vehicle.cohort)
+    demand = demands.get(vehicle.demand)
     if table is None or demand is None:  # pragma: no cover - platform without fork
-        probe = _probe(components, spec)
-        walk = _walk(probe, spec, speed_scale, record_interval_s, idle_step_s)
-        table = tables[cohort_key] = _cohort_table(walk, spec, thermal)
-        demand = demands[demand_key] = probe.resolve(table, _temperatures(table, spec, thermal))[2]
-    return _vehicle_outcome(
-        vehicle_index,
-        spec,
-        speed_scale,
-        storage_scale,
-        components[0].name,
+        probe = _probe(components, base)
+        walk = _walk(probe, base, vehicle, record_interval_s, idle_step_s)
+        table = tables[vehicle.cohort] = _cohort_table(walk, vehicle, thermal)
+        temperatures = _temperatures(table, vehicle, thermal)
+        demand = demands[vehicle.demand] = probe.resolve(table, temperatures)[2]
+    storage = scaled_storage(base.build_storage(), vehicle.storage_scale)
+    harvest, traj = integrate(
         table,
         demand,
-        _temperatures(table, spec, thermal),
-        buckets,
+        _temperatures(table, vehicle, thermal),
+        sized_scavenger(base.scavenger, vehicle.scavenger_size),
+        storage,
+    )
+    return _vehicle_outcome(
+        vehicle_index, vehicle, components[0].name, table, harvest, traj, buckets
     )
 
 
@@ -411,7 +374,7 @@ class FleetRunner:
             chunk; with a checkpoint, stopping this way is equivalent to a
             resumable interruption (the result is marked partial).
         evaluator_cache: optional shared evaluator cache exposing
-            ``get(key, builder)`` (the serving layer's bounded LRU); groups
+            ``get(key, builder)`` (the serving layer's bounded LRU); fleets
             then reuse evaluators/compiled tables across runs, observable
             through ``evaluator_builds``/``evaluator_cache_hits``.
     """
@@ -454,65 +417,53 @@ class FleetRunner:
 
     # -- shared-state construction ------------------------------------------
 
-    def _build_shared_state(self, chunks):
-        """Groups, cohort tables, the cross-vehicle sweep and the demands.
+    def _build_shared_state(self, probe: NodeEmulator, chunks):
+        """Cohort tables, the cross-vehicle sweep and the demands.
 
-        One streaming discovery pass: vehicles arrive chunk by chunk and are
-        *discarded* after inspection — the parent only retains the per-group
-        and per-cohort structures (whose cardinality is bounded by the
-        distinct (architecture, cycle, scale, temperature) combinations, not
-        by the population size).
+        One streaming discovery pass: chunks arrive one at a time and are
+        *discarded* after inspection — the parent only retains the
+        per-cohort structures (whose cardinality is bounded by the distinct
+        (cycle, scale, temperature) combinations, not by the population
+        size).
 
-        Returns ``(probes, tables, demands, shared_bins)``: the probe
-        emulator per group, the table per cohort, the demand per
-        :func:`_demand_key`, and the number of swept bins.
+        Returns ``(tables, demands, shared_bins)``: the table per cohort key,
+        the demand per demand key, and the number of swept bins.
         """
         thermal = self.fleet.thermal
-        probes: dict[str, NodeEmulator] = {}
-        pending: dict[str, dict] = {}
-        errors: dict[str, dict] = {}
-        walks: dict[str, CycleTable] = {}
-        tables: dict[str, CycleTable] = {}
+        pending: dict = {}
+        errors: dict = {}
+        walks: dict[tuple, CycleTable] = {}
+        tables: dict[tuple, CycleTable] = {}
         round_keys: dict = {}
         for chunk in chunks:
-            for vehicle in chunk:
-                spec = vehicle.scenario
-                gkey = _group_key(spec)
-                probe = probes.get(gkey)
-                if probe is None:
-                    probe = probes[gkey] = _probe(self.component_cache.get(spec), spec)
-                    pending[gkey], errors[gkey] = {}, {}
-                ckey = _cohort_key(vehicle, thermal)
-                table = tables.get(ckey)
+            for _index, vehicle in _vehicles(chunk, thermal):
+                table = tables.get(vehicle.cohort)
                 if table is None:
                     # The wheel-round walk does not depend on the ambient:
                     # thermal cohorts of one (cycle, speed scale) share it.
-                    wkey = _cohort_key(vehicle)
-                    walk = walks.get(wkey)
+                    walk = walks.get(vehicle.cohort[:2])
                     if walk is None:
-                        walk = walks[wkey] = _walk(
+                        walk = walks[vehicle.cohort[:2]] = _walk(
                             probe,
-                            spec,
-                            vehicle.speed_scale,
+                            self.fleet.base,
+                            vehicle,
                             self.record_interval_s,
                             self.idle_step_s,
                         )
-                    table = tables[ckey] = _cohort_table(walk, spec, thermal)
-                dkey = _demand_key(ckey, spec, thermal)
-                if dkey not in round_keys:
-                    keys = probe.round_keys(table, _temperatures(table, spec, thermal))
-                    probe.collect_bins(table, keys, {}, pending[gkey], errors[gkey])
-                    round_keys[dkey] = (gkey, table, keys)
+                    table = tables[vehicle.cohort] = _cohort_table(walk, vehicle, thermal)
+                if vehicle.demand not in round_keys:
+                    keys = probe.round_keys(table, _temperatures(table, vehicle, thermal))
+                    probe.collect_bins(table, keys, {}, pending, errors)
+                    round_keys[vehicle.demand] = (table, keys)
 
-        # ONE cross-vehicle sweep per group: the union of quantized bins over
-        # every vehicle of the group, evaluated in a single batch call.
-        entries = {gkey: probes[gkey].evaluate_energy_bins(pending[gkey]) for gkey in probes}
+        # ONE cross-vehicle sweep: the union of quantized bins over every
+        # vehicle of the fleet, evaluated in a single batch call.
+        entries = probe.evaluate_energy_bins(pending)
         demands: dict = {}
         while round_keys:
-            dkey, (gkey, table, keys) = round_keys.popitem()
-            demands[dkey] = probes[gkey].demand(table, keys, entries[gkey], errors[gkey])
-        shared_bins = sum(len(group_entries) for group_entries in entries.values())
-        return probes, tables, demands, shared_bins
+            dkey, (table, keys) = round_keys.popitem()
+            demands[dkey] = probe.demand(table, keys, entries, errors)
+        return tables, demands, len(entries)
 
     # -- execution ----------------------------------------------------------
 
@@ -535,14 +486,16 @@ class FleetRunner:
     def run(self) -> FleetResult:
         """Discover (streaming), share, fan out chunk by chunk, aggregate."""
         fleet = self.fleet
+        base = fleet.base
         cache = self.component_cache
         builds_before, hits_before = cache.builds, cache.hits
-        # Discovery pass: stream the population once to find the groups,
-        # cohorts and energy bins; individual vehicles are discarded, so the
-        # parent never holds more than one chunk of them.
-        probes, tables, demands, shared_bins = self._build_shared_state(
-            fleet.iter_chunks()
-        )
+        # No fleet axis changes what the evaluator is keyed on, so the base
+        # scenario's components serve every vehicle.
+        components = cache.get(base)
+        probe = _probe(components, base)
+        # Discovery pass: stream the population once to find the cohorts and
+        # energy bins; the parent never holds more than one chunk of it.
+        tables, demands, shared_bins = self._build_shared_state(probe, fleet.iter_chunks())
         store = (
             CheckpointStore(self.checkpoint, self.checkpoint_key())
             if self.checkpoint is not None
@@ -555,48 +508,30 @@ class FleetRunner:
         )
         buckets = self.survival_buckets
         thermal = fleet.thermal
-        thermal_document = thermal.to_dict() if thermal is not None else None
+        node_name = components[0].name
         token = next(_RUN_TOKENS)
+        ledgers = _ChunkLedgers(base, thermal, tables, demands)
 
-        def inputs(vehicle: FleetVehicle):
-            spec = vehicle.scenario
-            ckey = _cohort_key(vehicle, thermal)
-            table = tables[ckey]
-            return (
-                table,
-                demands[_demand_key(ckey, spec, thermal)],
-                _temperatures(table, spec, thermal),
+        def kernel(item) -> dict[str, object]:
+            index, vehicle = item
+            table = tables[vehicle.cohort]
+            harvest, traj = ledgers.get(index)
+            demands[vehicle.demand].raise_first_error(
+                traj.attempted, _temperatures(table, vehicle, thermal)
             )
+            return _vehicle_outcome(index, vehicle, node_name, table, harvest, traj, buckets)
 
-        ledgers = _ChunkLedgers(inputs)
-
-        def kernel(vehicle: FleetVehicle) -> dict[str, object]:
-            spec = vehicle.scenario
-            return _vehicle_outcome(
-                vehicle.index,
-                spec,
-                vehicle.speed_scale,
-                vehicle.storage_scale,
-                probes[_group_key(spec)].node.name,
-                *inputs(vehicle),
-                buckets,
-                ledgers.get(vehicle),
-            )
-
-        def payload(vehicle: FleetVehicle):
-            ckey = _cohort_key(vehicle, thermal)
+        def payload(item):
+            index, vehicle = item
             return (
                 token,
-                vehicle.scenario.to_dict(),
-                vehicle.index,
-                vehicle.speed_scale,
-                vehicle.storage_scale,
-                ckey,
-                _demand_key(ckey, vehicle.scenario, thermal),
+                base,
+                thermal,
+                index,
+                vehicle,
                 buckets,
                 self.record_interval_s,
                 self.idle_step_s,
-                thermal_document,
             )
 
         # Fork-inherited sharing: stash this run's shared state where the
@@ -627,10 +562,10 @@ class FleetRunner:
             "seed": fleet.seed,
             "base_scenario": fleet.base.to_dict(),
             "fleet_document": fleet.to_dict(),
-            "groups": len(probes),
+            "groups": 1,
             "cohorts": len(tables),
             "fast_path_vehicles": accumulator.vehicles,
-            "thermal": thermal_document,
+            "thermal": thermal.to_dict() if thermal is not None else None,
             "shared_energy_bins": shared_bins,
             "speed_quantum_kmh": SPEED_QUANTUM_KMH,
             "temperature_quantum_c": TEMPERATURE_QUANTUM_C,

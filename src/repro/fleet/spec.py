@@ -41,9 +41,10 @@ import numpy as np
 
 from repro.conditions.operating_point import TEMPERATURE_RANGE_C
 from repro.conditions.temperature import TyreThermalModel
-from repro.core.quantize import ambient_bin, ambient_bin_center_c
+from repro.core.quantize import AMBIENT_QUANTUM_C
 from repro.errors import ConfigError
 from repro.fleet.distributions import DistributionSpec
+from repro.scenario.registry import DRIVE_CYCLES
 from repro.scenario.spec import ComponentRef, ScenarioSpec
 
 #: The per-vehicle axes a fleet may distribute.  ``speed_scale`` multiplies
@@ -184,7 +185,7 @@ class FleetVehicle:
         scenario: the derived :class:`ScenarioSpec` of this vehicle — it
             encodes the sampled temperature, cruising speed and scavenger
             size, but NOT the two axes a scenario cannot express: the
-            runner additionally plays ``build_drive_cycle().scaled(speed_scale)``
+            vehicle's run additionally plays ``build_drive_cycle().scaled(speed_scale)``
             and ``scaled_storage(build_storage(), storage_scale)``.  Apply
             both to reproduce a fleet vehicle with the per-scenario tools.
     """
@@ -194,6 +195,67 @@ class FleetVehicle:
     temperature_c: float
     storage_scale: float
     scenario: ScenarioSpec
+
+
+@dataclass(frozen=True, eq=False)
+class FleetChunk:
+    """One materialization chunk of a fleet, as columns (one entry per vehicle).
+
+    The fleet runner reads the columns; ``len()`` is the vehicle count and
+    iterating the chunk yields each vehicle's :class:`FleetVehicle` view
+    (:meth:`vehicle`).
+
+    Attributes:
+        fleet: the fleet the chunk was drawn from.
+        index: the population indices of the chunk's vehicles.
+        speed_scale: drive-style factors, quantized to ``scale_quantum``.
+        temperature_c: ambients, clipped to the modelled range (snapped to
+            the ambient-bin centers on a thermal fleet).
+        scavenger_size: the base scavenger size times the drawn tolerance.
+        storage_scale: storage capacity tolerance factors.
+        cycle: each vehicle's drive-cycle key (the ``repr`` of its reference).
+        cycles: drive-cycle key -> reference, for the chunk's distinct cycles.
+    """
+
+    fleet: FleetSpec
+    index: range
+    speed_scale: list
+    temperature_c: list
+    scavenger_size: list
+    storage_scale: list
+    cycle: list
+    cycles: dict
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __iter__(self):
+        return map(self.vehicle, range(len(self)))
+
+    def name(self, row: int) -> str:
+        """The scenario name of the chunk's ``row``-th vehicle."""
+        fleet = self.fleet
+        digits = len(str(fleet.vehicles - 1)) if fleet.vehicles > 1 else 1
+        return f"{fleet.name}-{self.index[row]:0{digits}d}"
+
+    def vehicle(self, row: int) -> FleetVehicle:
+        """The :class:`FleetVehicle` view of the chunk's ``row``-th vehicle."""
+        base = self.fleet.base
+        scale = self.speed_scale[row]
+        return FleetVehicle(
+            index=self.index[row],
+            speed_scale=scale,
+            temperature_c=self.temperature_c[row],
+            storage_scale=self.storage_scale[row],
+            scenario=replace(
+                base,
+                name=self.name(row),
+                temperature_c=self.temperature_c[row],
+                speed_kmh=base.speed_kmh * scale,
+                scavenger_size=self.scavenger_size[row],
+                drive_cycle=self.cycles[self.cycle[row]],
+            ),
+        )
 
 
 @dataclass(frozen=True)
@@ -521,78 +583,76 @@ class FleetSpec:
                 samples[target] = sampler.sample_with_shared(rng, count, shared.get(target))
         return samples
 
-    def _vehicles_from_samples(
-        self, start: int, count: int, samples: Mapping[str, np.ndarray]
-    ) -> list[FleetVehicle]:
-        """Build the vehicles of one chunk from its sampled target arrays."""
-        low_t, high_t = TEMPERATURE_RANGE_C
-        vehicles: list[FleetVehicle] = []
-        digits = len(str(self.vehicles - 1)) if self.vehicles > 1 else 1
-        for offset in range(count):
-            index = start + offset
-            scale = float(samples["speed_scale"][offset]) if "speed_scale" in samples else 1.0
-            if scale <= 0.0:
+    def _chunk(self, samplers: Mapping, shared: Mapping, chunk_index: int) -> FleetChunk:
+        """Draw one chunk and derive its columns, each validated once.
+
+        Every column is the array form of the per-vehicle expression it
+        stands for, bit for bit (``np.rint`` rounds half to even like
+        :func:`round`), and holds Python values (``tolist``).
+        """
+        start, count = self.chunk_bounds(chunk_index)
+        samples = self._sample_chunk(samplers, shared, chunk_index, count)
+
+        def drawn(target: str, default: object = 1.0) -> np.ndarray:
+            """The validated draws of ``target``, or ``default`` for every vehicle."""
+            if target not in samples:
+                return np.full(count, default)
+            values = np.asarray(samples[target], dtype=float)
+            positive = target in ("speed_scale", "scavenger_size", "storage_capacity")
+            valid = np.isfinite(values) & (values > 0.0 if positive else True)
+            if not valid.all():
                 raise ConfigError(
-                    f"fleet speed_scale distribution produced {scale!r}; "
-                    "scales must be positive"
+                    f"fleet {target} distribution produced {float(values[~valid][0])!r}; "
+                    f"draws must be finite{' and positive' if positive else ''}"
                 )
-            if self.scale_quantum > 0.0:
-                scale = max(
-                    round(scale / self.scale_quantum) * self.scale_quantum,
-                    self.scale_quantum,
-                )
-            if "temperature_c" in samples:
-                temperature = float(np.clip(samples["temperature_c"][offset], low_t, high_t))
-            elif "ambient_offset_c" in samples:
-                temperature = float(
-                    np.clip(
-                        self.base.temperature_c + float(samples["ambient_offset_c"][offset]),
-                        low_t,
-                        high_t,
-                    )
-                )
-            else:
-                temperature = self.base.temperature_c
-            if self.thermal is not None:
-                # Thermal fleets snap the ambient to its bin center: a
-                # replayed trajectory is a function of its exact float
-                # ambient, so only bin-centered ambients let one
-                # per-(cohort, ambient-bin) replay be bitwise identical to
-                # every member vehicle's own emulate().  The bounds of the
-                # modelled range are themselves bin centers, so the snap
-                # never leaves the range.
-                temperature = ambient_bin_center_c(ambient_bin(temperature))
-            size_factor = (
-                float(samples["scavenger_size"][offset])
-                if "scavenger_size" in samples
-                else 1.0
+            return values
+
+        scale = drawn("speed_scale")
+        quantum = self.scale_quantum
+        if quantum > 0.0:
+            scale = np.maximum(np.rint(scale / quantum) * quantum, quantum)
+            if isinstance(quantum, int):  # round(s / q) * q of an int q is an int
+                scale = scale.astype(np.int64)
+        low_t, high_t = TEMPERATURE_RANGE_C
+        if "temperature_c" in samples:
+            temperature = np.clip(drawn("temperature_c"), low_t, high_t)
+        elif "ambient_offset_c" in samples:
+            temperature = np.clip(
+                self.base.temperature_c + drawn("ambient_offset_c"), low_t, high_t
             )
-            storage_scale = (
-                float(samples["storage_capacity"][offset])
-                if "storage_capacity" in samples
-                else 1.0
-            )
-            if size_factor <= 0.0 or storage_scale <= 0.0:
-                raise ConfigError("fleet tolerance distributions must produce positive factors")
-            scenario = self.base.with_axes(
-                name=f"{self.name}-{index:0{digits}d}",
-                temperature=temperature,
-                speed=self.base.speed_kmh * scale,
-                size=self.base.scavenger_size * size_factor,
-            )
-            if "drive_cycle" in samples:
-                cycle_ref = ComponentRef.coerce(samples["drive_cycle"][offset], "drive_cycle")
-                scenario = scenario.with_axis("drive_cycle", cycle_ref)
-            vehicles.append(
-                FleetVehicle(
-                    index=index,
-                    speed_scale=scale,
-                    temperature_c=temperature,
-                    storage_scale=storage_scale,
-                    scenario=scenario,
-                )
-            )
-        return vehicles
+        else:
+            temperature = np.full(count, self.base.temperature_c)
+        if self.thermal is not None:
+            # ambient_bin_center_c(ambient_bin(t)) (see ThermalSpec); the
+            # range bounds are bin centers, so the snap stays in range, and
+            # ``+ 0.0`` turns np.rint's -0.0 into the 0.0 of round().
+            temperature = np.rint(temperature / AMBIENT_QUANTUM_C) * AMBIENT_QUANTUM_C + 0.0
+        size = self.base.scavenger_size * drawn("scavenger_size")
+
+        # Drawn values repeat as objects (the categorical's choices), so each
+        # is coerced and validated once, keyed by its identity; the list
+        # keeps every value alive, so no two of them share an id.
+        cycles: dict[str, ComponentRef] = {}
+        keys: dict[int, str] = {}
+        cycle: list[str] = []
+        for value in list(samples.get("drive_cycle", [self.base.drive_cycle] * count)):
+            key = keys.get(id(value))
+            if key is None:
+                ref = ComponentRef.coerce(value, "drive_cycle")
+                DRIVE_CYCLES.validate(ref.name)
+                key = keys[id(value)] = repr(ref)
+                cycles[key] = ref
+            cycle.append(key)
+        return FleetChunk(
+            fleet=self,
+            index=range(start, start + count),
+            speed_scale=scale.tolist(),
+            temperature_c=temperature.tolist(),
+            scavenger_size=size.tolist(),
+            storage_scale=drawn("storage_capacity").tolist(),
+            cycle=cycle,
+            cycles=cycles,
+        )
 
     def materialize_chunk(self, chunk_index: int) -> list[FleetVehicle]:
         """Draw ONE chunk of the population, reproducible in isolation.
@@ -603,26 +663,21 @@ class FleetSpec:
         for that chunk, without sampling any other chunk.
         """
         samplers = self._samplers()
-        shared = self._shared_states(samplers)
-        start, count = self.chunk_bounds(chunk_index)
-        samples = self._sample_chunk(samplers, shared, chunk_index, count)
-        return self._vehicles_from_samples(start, count, samples)
+        return list(self._chunk(samplers, self._shared_states(samplers), chunk_index))
 
     def iter_chunks(self):
-        """Stream the population as chunk lists of ≤ ``chunk_vehicles`` vehicles.
+        """Stream the population as :class:`FleetChunk` columns, chunk by chunk.
 
         The generator the fleet runner consumes: at most one chunk of
-        vehicles is resident at a time, and the concatenation of the yielded
-        chunks equals :meth:`materialize` vehicle for vehicle (samplers and
-        shared states are built once and reused, which cannot change the
-        draws — each chunk still samples from its own generator).
+        vehicles is resident at a time, and iterating the yielded chunks
+        gives :meth:`materialize` vehicle for vehicle (samplers and shared
+        states are built once and reused, which cannot change the draws —
+        each chunk still samples from its own generator).
         """
         samplers = self._samplers()
         shared = self._shared_states(samplers)
         for chunk_index in range(self.chunk_count()):
-            start, count = self.chunk_bounds(chunk_index)
-            samples = self._sample_chunk(samplers, shared, chunk_index, count)
-            yield self._vehicles_from_samples(start, count, samples)
+            yield self._chunk(samplers, shared, chunk_index)
 
     def materialize(self) -> list[FleetVehicle]:
         """Draw the whole population: one :class:`FleetVehicle` per vehicle.

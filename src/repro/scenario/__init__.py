@@ -28,7 +28,6 @@ from repro.scenario.registry import (
     POWER_DATABASES,
     SCAVENGERS,
     STORAGE_ELEMENTS,
-    Registry,
     register_architecture,
     register_drive_cycle,
     register_power_database,
@@ -55,7 +54,6 @@ __all__ = [
     "EngineReport",
     "MonteCarloConfig",
     "MonteCarloDraws",
-    "Registry",
     "ARCHITECTURES",
     "POWER_DATABASES",
     "SCAVENGERS",

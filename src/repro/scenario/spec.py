@@ -37,6 +37,7 @@ from repro.conditions.process import ProcessCorner, ProcessVariation
 from repro.conditions.supply import CORE_RAIL, SupplyCondition
 from repro.errors import ConfigError
 from repro.power.database import PowerDatabase
+from repro.registry import Registry
 from repro.scavenger.base import EnergyScavenger
 from repro.scavenger.storage import StorageElement
 from repro.scenario.registry import (
@@ -45,7 +46,6 @@ from repro.scenario.registry import (
     POWER_DATABASES,
     SCAVENGERS,
     STORAGE_ELEMENTS,
-    Registry,
 )
 from repro.vehicle.drive_cycle import DriveCycle
 
@@ -122,6 +122,20 @@ class ComponentRef:
 
 def _ref(name: str) -> ComponentRef:
     return ComponentRef(name=name)
+
+
+def sized_scavenger(ref: ComponentRef, size: float) -> EnergyScavenger:
+    """Instantiate the scavenger ``ref``, scaled by the size factor ``size``.
+
+    What :meth:`ScenarioSpec.build_scavenger` builds, without a spec: the
+    fleet runner builds each vehicle's scavenger at its drawn size.
+    """
+    scavenger = ref.build(SCAVENGERS)
+    if not isinstance(scavenger, EnergyScavenger):
+        raise ConfigError(f"scavenger {ref.name!r} did not produce an EnergyScavenger")
+    if size != 1.0:
+        scavenger = scavenger.scaled(size)
+    return scavenger
 
 
 @dataclass(frozen=True)
@@ -404,14 +418,7 @@ class ScenarioSpec:
 
     def build_scavenger(self) -> EnergyScavenger:
         """Instantiate the scavenger, scaled by :attr:`scavenger_size`."""
-        scavenger = self.scavenger.build(SCAVENGERS)
-        if not isinstance(scavenger, EnergyScavenger):
-            raise ConfigError(
-                f"scavenger {self.scavenger.name!r} did not produce an EnergyScavenger"
-            )
-        if self.scavenger_size != 1.0:
-            scavenger = scavenger.scaled(self.scavenger_size)
-        return scavenger
+        return sized_scavenger(self.scavenger, self.scavenger_size)
 
     def build_storage(self) -> StorageElement | None:
         """Instantiate the storage element (``None`` when the spec has none)."""

@@ -6,13 +6,13 @@ import pytest
 
 from repro.blocks.architectures import baseline_node
 from repro.errors import ConfigError, ConfigurationError
+from repro.registry import Registry
 from repro.scenario.registry import (
     ARCHITECTURES,
     DRIVE_CYCLES,
     POWER_DATABASES,
     SCAVENGERS,
     STORAGE_ELEMENTS,
-    Registry,
     register_architecture,
 )
 
