@@ -102,13 +102,10 @@ __all__ = ["FleetRunner", "run_fleet"]
 
 
 class _Vehicle(NamedTuple):
-    """One vehicle's columns plus the keys of the cohort state it shares.
-
-    ``cohort`` is (cycle, speed scale), plus the ambient on a thermal fleet:
-    a replayed trajectory is a function of its ambient, which
-    materialization snapped to the bin center.  ``demand`` is the cohort,
-    plus the temperature bin of a constant-temperature vehicle.
-    """
+    """One vehicle's columns plus the keys of the cohort state it shares:
+    ``cohort`` is (cycle, speed scale), plus the (bin-center) ambient a
+    thermal replay is a function of; ``demand`` adds the temperature bin of
+    a constant-temperature vehicle."""
 
     name: str
     speed_scale: float
@@ -167,9 +164,7 @@ def _walk(
 def _cohort_table(walk: CycleTable, vehicle: _Vehicle, thermal: ThermalSpec | None) -> CycleTable:
     """A cohort's table: the walk, with a fresh thermal model replayed over it
     at the cohort's bin-center ambient (each member vehicle's own ambient)."""
-    if thermal is None:
-        return walk
-    return walk.with_thermal(thermal.build(vehicle.temperature_c))
+    return walk if thermal is None else walk.with_thermal(thermal.build(vehicle.temperature_c))
 
 
 def _probe(components: tuple, base: ScenarioSpec) -> NodeEmulator:
@@ -208,12 +203,8 @@ def _vehicle_outcome(
     traj,
     buckets: int,
 ) -> dict[str, object]:
-    """One vehicle's row and survival samples from its ledger.
-
-    ``(harvest, traj)`` come from :func:`integrate` or the vehicle's row of
-    its chunk's batch, with the vehicle's scavenger and scaled storage;
-    :func:`summarize` then makes the row a per-vehicle ``emulate()`` makes.
-    """
+    """One vehicle's row and survival samples from its ``(harvest, traj)``
+    ledger, summarized like a per-vehicle ``emulate()``."""
     result = summarize(node_name, table, harvest, traj)
     sample_active = traj.active[table.sample_units]
     survival = _survival_from_samples(table.sample_times, sample_active, table.duration_s, buckets)
@@ -237,7 +228,7 @@ def _vehicle_outcome(
 class _ChunkLedgers:
     """The ledgers of the engine chunk in flight, integrated together.
 
-    :meth:`track` turns the chunk stream into the engine's work items.  The
+    :meth:`track` wraps the work-item chunks the engine consumes.  The
     first :meth:`get` of a chunk sets up every vehicle of it in vehicle
     order — scaled storage, scavenger, :func:`unit_harvest`, the calls a
     per-vehicle ``emulate()`` makes — and integrates them in ONE
@@ -251,11 +242,8 @@ class _ChunkLedgers:
     succeeded keeps its ledger: a retry after its own demand error reuses it.
     """
 
-    def __init__(
-        self, base: ScenarioSpec, thermal: ThermalSpec | None, tables: dict, demands: dict
-    ) -> None:
+    def __init__(self, base: ScenarioSpec, tables: dict, demands: dict) -> None:
         self._base = base
-        self._thermal = thermal
         self._tables = tables
         self._demands = demands
         self._chunk: list[tuple[int, _Vehicle]] = []
@@ -264,7 +252,7 @@ class _ChunkLedgers:
 
     def track(self, chunks):
         for chunk in chunks:
-            self._chunk = _vehicles(chunk, self._thermal)
+            self._chunk = list(chunk)
             self._ledgers, self._errors = {}, {}
             yield self._chunk
 
@@ -510,7 +498,7 @@ class FleetRunner:
         thermal = fleet.thermal
         node_name = components[0].name
         token = next(_RUN_TOKENS)
-        ledgers = _ChunkLedgers(base, thermal, tables, demands)
+        ledgers = _ChunkLedgers(base, tables, demands)
 
         def kernel(item) -> dict[str, object]:
             index, vehicle = item
@@ -539,7 +527,7 @@ class FleetRunner:
         _SHARED_STATE[token] = (tables, demands)
         try:
             report = self._engine.run_chunks(
-                ledgers.track(fleet.iter_chunks()),
+                ledgers.track(_vehicles(chunk, thermal) for chunk in fleet.iter_chunks()),
                 kernel,
                 lambda _index, outcome: accumulator.add(outcome),
                 checkpoint=store,

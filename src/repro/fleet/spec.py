@@ -34,6 +34,7 @@ import json
 import math
 import zlib
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping
 
@@ -508,6 +509,11 @@ class FleetSpec:
 
     def document_digest(self) -> int:
         """CRC digest of the fleet document, the seed-stream discriminator."""
+        return self._digest
+
+    @cached_property
+    def _digest(self) -> int:
+        # Once per (frozen) spec: every chunk generator is seeded with it.
         return zlib.crc32(self.to_json().encode("utf-8"))
 
     def rng(self) -> np.random.Generator:
@@ -594,7 +600,6 @@ class FleetSpec:
         samples = self._sample_chunk(samplers, shared, chunk_index, count)
 
         def drawn(target: str, default: object = 1.0) -> np.ndarray:
-            """The validated draws of ``target``, or ``default`` for every vehicle."""
             if target not in samples:
                 return np.full(count, default)
             values = np.asarray(samples[target], dtype=float)
@@ -613,13 +618,11 @@ class FleetSpec:
             scale = np.maximum(np.rint(scale / quantum) * quantum, quantum)
             if isinstance(quantum, int):  # round(s / q) * q of an int q is an int
                 scale = scale.astype(np.int64)
-        low_t, high_t = TEMPERATURE_RANGE_C
         if "temperature_c" in samples:
-            temperature = np.clip(drawn("temperature_c"), low_t, high_t)
+            temperature = np.clip(drawn("temperature_c"), *TEMPERATURE_RANGE_C)
         elif "ambient_offset_c" in samples:
-            temperature = np.clip(
-                self.base.temperature_c + drawn("ambient_offset_c"), low_t, high_t
-            )
+            ambient = self.base.temperature_c + drawn("ambient_offset_c")
+            temperature = np.clip(ambient, *TEMPERATURE_RANGE_C)
         else:
             temperature = np.full(count, self.base.temperature_c)
         if self.thermal is not None:
