@@ -186,7 +186,7 @@ class FleetVehicle:
         scenario: the derived :class:`ScenarioSpec` of this vehicle — it
             encodes the sampled temperature, cruising speed and scavenger
             size, but NOT the two axes a scenario cannot express: the
-            vehicle's run additionally plays ``build_drive_cycle().scaled(speed_scale)``
+            runner additionally plays ``build_drive_cycle().scaled(speed_scale)``
             and ``scaled_storage(build_storage(), storage_scale)``.  Apply
             both to reproduce a fleet vehicle with the per-scenario tools.
     """
